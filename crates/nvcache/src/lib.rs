@@ -24,8 +24,14 @@
 //!
 //! Determinism: block lookups go through a flat open-addressing table with
 //! a fixed hash function (never iterated), while everything order-sensitive
-//! — destage grouping, eviction — walks either the intrusive LRU list or an
-//! ordered set of dirty blocks, so results are reproducible run-to-run.
+//! — destage grouping, eviction — walks either the intrusive LRU list or
+//! the destage candidates sorted into (disk, block) order, so results are
+//! reproducible run-to-run.
+//!
+//! Every host-facing operation has an `_into` form that appends to
+//! caller-owned buffers (missing blocks, dirty evictions), so a simulator
+//! can keep one scratch buffer per kind and allocate nothing per request;
+//! the plain forms wrap them and return fresh `Vec`s.
 
 pub mod lru;
 pub mod spool;

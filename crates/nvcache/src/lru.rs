@@ -2,7 +2,6 @@
 
 use crate::table::BlockMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Identity of a logical block: (logical disk, block within disk).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -14,6 +13,12 @@ pub struct BlockKey {
 impl BlockKey {
     pub fn new(disk: u32, block: u64) -> BlockKey {
         BlockKey { disk, block }
+    }
+
+    /// The keys of `nblocks` consecutive blocks starting at `block` on
+    /// `disk` — a request's footprint, without materializing it.
+    pub fn range(disk: u32, block: u64, nblocks: u32) -> impl Iterator<Item = BlockKey> + Clone {
+        (block..block + nblocks as u64).map(move |b| BlockKey::new(disk, b))
     }
 }
 
@@ -95,10 +100,14 @@ pub struct NvCache {
     nodes: Vec<Node>,
     free: Vec<usize>,
     index: BlockMap,
-    /// Dirty data blocks that are *not* in-flight to disk, in (disk, block)
-    /// order — the exact iteration order destage grouping depends on. Kept
-    /// incrementally so [`NvCache::collect_destage`] never scans the index.
-    collectable: BTreeSet<BlockKey>,
+    /// Every block that became destageable (dirty and not in flight to
+    /// disk) since the last [`NvCache::collect_destage`], appended on each
+    /// such transition. Entries are never removed in place: the collect
+    /// sorts and deduplicates them into (disk, block) order — the exact
+    /// order destage grouping depends on — and drops the ones that have
+    /// since been evicted, cleaned or pinned. So it never scans the index,
+    /// and the hot path pays a `Vec` push instead of an ordered-set insert.
+    collectable: Vec<BlockKey>,
     /// Count of dirty data blocks, including ones currently destaging.
     /// Maintained on every clean↔dirty transition so [`NvCache::dirty_count`]
     /// is O(1) — it used to be a full index scan on every destage tick.
@@ -118,7 +127,7 @@ impl NvCache {
             nodes: Vec::with_capacity(capacity_blocks + 1),
             free: Vec::new(),
             index: BlockMap::with_capacity(capacity_blocks + 1),
-            collectable: BTreeSet::new(),
+            collectable: Vec::new(),
             dirty_len: 0,
             head: NIL,
             tail: NIL,
@@ -182,7 +191,7 @@ impl NvCache {
     /// A data block turned dirty: it is destageable until pinned or cleaned.
     fn mark_dirty(&mut self, key: BlockKey) {
         self.dirty_len += 1;
-        self.collectable.insert(key);
+        self.collectable.push(key);
     }
 
     // ------------------------------------------------------------------
@@ -238,9 +247,9 @@ impl NvCache {
         let key = (self.nodes[i].key, self.nodes[i].is_old);
         if !self.nodes[i].is_old && self.nodes[i].dirty {
             // Only evictions reach here with a dirty block (destaging blocks
-            // are pinned), so it is always still collectable.
+            // are pinned); its `collectable` entry goes stale and the next
+            // collect drops it.
             self.dirty_len -= 1;
-            self.collectable.remove(&key.0);
         }
         self.unlink(i);
         self.index.remove(key);
@@ -326,30 +335,60 @@ impl NvCache {
     /// are present).
     pub fn read_probe(&mut self, keys: &[BlockKey]) -> Vec<BlockKey> {
         let mut missing = Vec::new();
-        for &k in keys {
+        self.read_probe_into(keys.iter().copied(), &mut missing);
+        missing
+    }
+
+    /// [`NvCache::read_probe`] into a caller-owned buffer: appends the
+    /// missing blocks to `missing` and returns whether the read hit.
+    pub fn read_probe_into(
+        &mut self,
+        keys: impl Iterator<Item = BlockKey>,
+        missing: &mut Vec<BlockKey>,
+    ) -> bool {
+        let before = missing.len();
+        for k in keys {
             if let Some(i) = self.index.get((k, false)) {
                 self.touch(i);
             } else {
                 missing.push(k);
             }
         }
-        if missing.is_empty() {
+        let hit = missing.len() == before;
+        if hit {
             self.stats.read_hits += 1;
         } else {
             self.stats.read_misses += 1;
         }
-        missing
+        hit
     }
 
     /// Insert a block fetched from disk after a read miss (clean).
     pub fn insert_fetched(&mut self, key: BlockKey) -> Vec<DirtyEviction> {
         let mut evictions = Vec::new();
+        self.fetch_into(key, &mut evictions);
+        evictions
+    }
+
+    /// [`NvCache::insert_fetched`] into a caller-owned buffer: appends the
+    /// dirty evictions to `evictions`.
+    pub fn fetch_into(&mut self, key: BlockKey, evictions: &mut Vec<DirtyEviction>) {
         if let Some(i) = self.index.get((key, false)) {
             self.touch(i);
-            return evictions;
+            return;
         }
-        self.insert_node(key, false, false, false, &mut evictions);
-        evictions
+        self.insert_node(key, false, false, false, evictions);
+    }
+
+    /// Count a write as a hit (every block present) or a miss.
+    fn count_write(&mut self, mut keys: impl Iterator<Item = BlockKey>) -> bool {
+        let all_present = keys.all(|k| self.index.contains_key((k, false)));
+        if all_present {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.write_misses += 1;
+        }
+        all_present
     }
 
     /// Apply a (possibly multiblock) write. A hit requires all blocks
@@ -361,14 +400,21 @@ impl NvCache {
         keys: &[BlockKey],
         keep_old: bool,
     ) -> (bool, Vec<DirtyEviction>) {
-        let all_present = keys.iter().all(|&k| self.index.contains_key((k, false)));
-        if all_present {
-            self.stats.write_hits += 1;
-        } else {
-            self.stats.write_misses += 1;
-        }
         let mut evictions = Vec::new();
-        for &k in keys {
+        let hit = self.write_into(keys.iter().copied(), keep_old, &mut evictions);
+        (hit, evictions)
+    }
+
+    /// [`NvCache::write_access`] into a caller-owned buffer: appends the
+    /// dirty evictions to `evictions` and returns whether the write hit.
+    pub fn write_into(
+        &mut self,
+        keys: impl Iterator<Item = BlockKey> + Clone,
+        keep_old: bool,
+        evictions: &mut Vec<DirtyEviction>,
+    ) -> bool {
+        let all_present = self.count_write(keys.clone());
+        for k in keys {
             if let Some(i) = self.index.get((k, false)) {
                 self.touch(i);
                 if self.nodes[i].destaging {
@@ -378,16 +424,16 @@ impl NvCache {
                     self.mark_dirty(k);
                     if keep_old && !self.index.contains_key((k, true)) {
                         self.nodes[i].has_old = true;
-                        self.insert_node(k, true, false, false, &mut evictions);
+                        self.insert_node(k, true, false, false, evictions);
                     }
                 }
                 // Already-dirty blocks absorb the write in place.
             } else {
                 // Write miss: no old contents available for this block.
-                self.insert_node(k, false, true, false, &mut evictions);
+                self.insert_node(k, false, true, false, evictions);
             }
         }
-        (all_present, evictions)
+        all_present
     }
 
     /// Apply a write while the cache is in write-through mode (NVRAM battery
@@ -395,22 +441,22 @@ impl NvCache {
     /// and nothing becomes destageable. Present blocks are touched in place;
     /// a dirty block stays dirty (its pre-battery-failure contents still owe
     /// a destage) but absorbs the new data without further bookkeeping.
-    pub fn write_through(&mut self, keys: &[BlockKey]) -> (bool, Vec<DirtyEviction>) {
-        let all_present = keys.iter().all(|&k| self.index.contains_key((k, false)));
-        if all_present {
-            self.stats.write_hits += 1;
-        } else {
-            self.stats.write_misses += 1;
-        }
-        let mut evictions = Vec::new();
-        for &k in keys {
+    /// Appends the dirty evictions to `evictions` and returns whether the
+    /// write hit.
+    pub fn write_through_into(
+        &mut self,
+        keys: impl Iterator<Item = BlockKey> + Clone,
+        evictions: &mut Vec<DirtyEviction>,
+    ) -> bool {
+        let all_present = self.count_write(keys.clone());
+        for k in keys {
             if let Some(i) = self.index.get((k, false)) {
                 self.touch(i);
             } else {
-                self.insert_node(k, false, false, false, &mut evictions);
+                self.insert_node(k, false, false, false, evictions);
             }
         }
-        (all_present, evictions)
+        all_present
     }
 
     // ------------------------------------------------------------------
@@ -419,18 +465,27 @@ impl NvCache {
 
     /// Collect every dirty, not-yet-destaging block into runs of consecutive
     /// blocks per logical disk (split where old-copy availability changes),
-    /// marking them in-flight. Deterministic: the collectable set is ordered
-    /// by (disk, block) — the same order the old full-index scan produced —
-    /// but this is O(dirty), not O(cache).
+    /// marking them in-flight. Deterministic: the candidates are visited in
+    /// (disk, block) order — the same order a full-index scan would give —
+    /// but this is O(d log d) in the blocks dirtied since the last collect,
+    /// not O(cache).
     pub fn collect_destage(&mut self) -> Vec<DestageGroup> {
+        let mut keys = std::mem::take(&mut self.collectable);
+        keys.sort_unstable();
+        keys.dedup();
         let mut groups: Vec<DestageGroup> = Vec::new();
-        for key in std::mem::take(&mut self.collectable) {
+        for &key in &keys {
+            // Stale entries: evicted, cleaned or already pinned since they
+            // were appended.
             let Some(i) = self.index.get((key, false)) else {
-                debug_assert!(false, "collectable block {key:?} missing from index");
                 continue;
             };
-            let has_old = self.nodes[i].has_old;
-            self.nodes[i].destaging = true;
+            let node = &mut self.nodes[i];
+            if !node.dirty || node.destaging {
+                continue;
+            }
+            node.destaging = true;
+            let has_old = node.has_old;
             if let Some(last) = groups.last_mut() {
                 if last.disk == key.disk
                     && last.block + last.nblocks as u64 == key.block
@@ -459,7 +514,7 @@ impl NvCache {
             if let Some(i) = self.index.get((key, false)) {
                 self.nodes[i].destaging = false;
                 if self.nodes[i].dirty {
-                    self.collectable.insert(key);
+                    self.collectable.push(key);
                 }
             }
         }
@@ -480,11 +535,10 @@ impl NvCache {
                 // but the old copy now matches what's on disk — drop it and
                 // accept the pre-read on the next destage.
                 node.redirtied = false;
-                self.collectable.insert(key);
+                self.collectable.push(key);
             } else if node.dirty {
                 node.dirty = false;
                 self.dirty_len -= 1;
-                self.collectable.remove(&key);
             }
             self.nodes[i].has_old = false;
             if let Some(oi) = self.index.get((key, true)) {
@@ -777,10 +831,118 @@ mod tests {
         }
     }
 
+    /// Differential: the lazy `collectable` list against the eager ordered
+    /// set it replaced. The reference is a `BTreeSet` of exactly the blocks
+    /// the eager set held by its invariant — present, dirty, not destaging —
+    /// rebuilt from the cache's state after every step. Under random
+    /// multiblock writes, fetches, probes, write-throughs, slot reservations
+    /// (forced evictions), collects, aborts and completions:
+    /// * every reference block has an entry waiting in the lazy list, and
+    /// * every `collect_destage` returns exactly the groups the reference
+    ///   set yields in (disk, block) order.
+    #[test]
+    fn lazy_collectable_matches_eager_set_under_churn() {
+        use std::collections::BTreeSet;
+        let universe: Vec<BlockKey> = (0..3u32)
+            .flat_map(|d| (0..40u64).map(move |b| BlockKey::new(d, b)))
+            .collect();
+        let reference = |c: &NvCache| -> BTreeSet<BlockKey> {
+            universe
+                .iter()
+                .copied()
+                .filter(|&k| {
+                    c.index
+                        .get((k, false))
+                        .is_some_and(|i| c.nodes[i].dirty && !c.nodes[i].destaging)
+                })
+                .collect()
+        };
+        let mut c = NvCache::new(24);
+        let mut in_flight: Vec<DestageGroup> = Vec::new();
+        let mut scratch_keys = Vec::new();
+        let mut scratch_evs = Vec::new();
+        let mut collects = 0;
+        let mut x = 0x5EED_u64;
+        for step in 0..20_000u32 {
+            // xorshift: deterministic operation mix.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (disk, block) = ((x % 3) as u32, (x >> 8) % 38);
+            let n = 1 + ((x >> 20) % 3) as u32;
+            let keys = BlockKey::range(disk, block, n);
+            scratch_keys.clear();
+            scratch_evs.clear();
+            match (x >> 32) % 16 {
+                0..=4 => {
+                    c.write_into(keys, x.is_multiple_of(2), &mut scratch_evs);
+                }
+                5 | 6 => c.fetch_into(BlockKey::new(disk, block), &mut scratch_evs),
+                7 => {
+                    c.read_probe_into(keys, &mut scratch_keys);
+                }
+                8 => {
+                    c.write_through_into(keys, &mut scratch_evs);
+                }
+                9 => {
+                    if c.reserve_slots(n as usize * 4).is_some() {
+                        c.release_slots(n as usize * 4);
+                    }
+                }
+                10 | 11 => {
+                    let want = reference(&c);
+                    let mut expected: Vec<DestageGroup> = Vec::new();
+                    for &k in &want {
+                        let has_old = c.nodes[c.index.get((k, false)).unwrap()].has_old;
+                        match expected.last_mut() {
+                            Some(g)
+                                if g.disk == k.disk
+                                    && g.block + g.nblocks as u64 == k.block
+                                    && g.has_old == has_old =>
+                            {
+                                g.nblocks += 1
+                            }
+                            _ => expected.push(DestageGroup {
+                                disk: k.disk,
+                                block: k.block,
+                                nblocks: 1,
+                                has_old,
+                            }),
+                        }
+                    }
+                    let got = c.collect_destage();
+                    assert_eq!(got, expected, "step {step}: collect diverged");
+                    collects += 1;
+                    in_flight.extend(got);
+                }
+                12 => {
+                    if !in_flight.is_empty() {
+                        let g = in_flight.swap_remove((x >> 40) as usize % in_flight.len());
+                        c.destage_abort(&g);
+                    }
+                }
+                _ => {
+                    if !in_flight.is_empty() {
+                        let g = in_flight.remove(0);
+                        c.destage_complete(&g);
+                    }
+                }
+            }
+            for k in reference(&c) {
+                assert!(
+                    c.collectable.contains(&k),
+                    "step {step}: destageable {k:?} has no collectable entry"
+                );
+            }
+        }
+        assert!(collects > 1_000, "the mix must exercise collect");
+    }
+
     #[test]
     fn write_through_caches_clean_blocks() {
         let mut c = NvCache::new(8);
-        let (hit, ev) = c.write_through(&[k(1), k(2)]);
+        let mut ev = Vec::new();
+        let hit = c.write_through_into([k(1), k(2)].into_iter(), &mut ev);
         assert!(!hit && ev.is_empty());
         assert!(c.contains(k(1)) && c.contains(k(2)));
         assert!(!c.is_dirty(k(1)) && !c.is_dirty(k(2)));
@@ -791,7 +953,7 @@ mod tests {
         // Hitting an already-dirty block leaves it dirty (pre-failure
         // contents still owe a destage) without double-counting.
         c.write_access(&[k(3)], false);
-        let (hit, _) = c.write_through(&[k(3)]);
+        let hit = c.write_through_into([k(3)].into_iter(), &mut ev);
         assert!(hit);
         assert!(c.is_dirty(k(3)));
         assert_eq!(c.dirty_count(), 1);

@@ -205,6 +205,31 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
 mod tests {
     use super::*;
 
+    /// The demo fleet's first tenant substream is pinned record for record
+    /// (FNV-1a 64 over each record's fields): tenant generation is the
+    /// bulk of a fleet run, and its draw sequence must not drift.
+    #[test]
+    fn demo_tenant_stream_is_pinned() {
+        let mut fleet = FleetConfig::demo();
+        fleet.duration_secs = 60.0;
+        let plan = allocate(&fleet).unwrap();
+        let t = tenant_substream(&fleet, &plan, 0).spec.generate();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in &t.records {
+            let fields = [
+                &r.at.as_ns().to_le_bytes()[..],
+                &r.disk.to_le_bytes(),
+                &r.block.to_le_bytes(),
+                &r.nblocks.to_le_bytes(),
+                &[r.is_read() as u8],
+            ];
+            for b in fields.concat() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(format!("{:016x}/{}", h, t.len()), "b478882137fa100a/5400");
+    }
+
     #[test]
     fn small_fleet_runs_end_to_end() {
         let fleet = FleetConfig::small();

@@ -10,36 +10,35 @@ use simkit::SimTime;
 use tracegen::TraceRecord;
 
 impl<'t> Simulator<'t> {
-    /// Cache keys of a request (keyed by global logical disk + block).
-    fn keys_of(rec: &TraceRecord) -> Vec<BlockKey> {
-        (0..rec.nblocks as u64)
-            .map(|i| BlockKey::new(rec.disk, rec.block + i))
-            .collect()
-    }
-
     fn laddr_of_key(&self, key: BlockKey) -> u64 {
         ((key.disk % self.n) as u64 * self.bpd + key.block) % self.planner.logical_capacity()
     }
 
     pub(super) fn cached_read(&mut self, req: u32, rec: &TraceRecord, array: u32, _laddr: u64) {
-        let keys = Self::keys_of(rec);
-        let missing = self.caches[array as usize].read_probe(&keys);
+        let mut missing = std::mem::take(&mut self.cache_missing);
+        missing.clear();
+        let hit = self.caches[array as usize].read_probe_into(
+            BlockKey::range(rec.disk, rec.block, rec.nblocks),
+            &mut missing,
+        );
         let now = self.engine.now();
         let bytes = rec.nblocks as u64 * self.block_bytes;
 
-        if missing.is_empty() {
+        if hit {
             // Read hit: response is just the channel wait + transfer.
             let tr = self.channels[array as usize].request(now, bytes);
             self.note_channel_finish(req, tr.end);
+            self.cache_missing = missing;
             return;
         }
 
         // Fetch missing blocks; the host transfer runs after the last one
         // lands ("on a read miss the block is fetched from disk").
         self.reqs.get_mut(req).tail_channel_bytes = bytes;
-        let mut evictions = Vec::new();
+        let mut evictions = std::mem::take(&mut self.cache_evictions);
+        evictions.clear();
         for &key in &missing {
-            evictions.extend(self.caches[array as usize].insert_fetched(key));
+            self.caches[array as usize].fetch_into(key, &mut evictions);
         }
         // Merge consecutive missing blocks into fetch runs.
         let mut seg_start = 0;
@@ -81,18 +80,22 @@ impl<'t> Simulator<'t> {
                 seg_start = i + 1;
             }
         }
-        for ev in evictions {
+        for &ev in &evictions {
             self.issue_writeback(Some(req), array, ev);
         }
+        self.cache_missing = missing;
+        self.cache_evictions = evictions;
     }
 
     pub(super) fn cached_write(&mut self, req: u32, rec: &TraceRecord, array: u32, laddr: u64) {
-        let keys = Self::keys_of(rec);
+        let keys = BlockKey::range(rec.disk, rec.block, rec.nblocks);
+        let mut evictions = std::mem::take(&mut self.cache_evictions);
+        evictions.clear();
         if self.battery_out() {
             // NVRAM battery failed: the cache cannot hold dirty data, so the
             // write goes straight to disk (blocks cached clean) and the
             // request waits for the media like a non-cached write.
-            let (_hit, evictions) = self.caches[array as usize].write_through(&keys);
+            self.caches[array as usize].write_through_into(keys, &mut evictions);
             let now = self.engine.now();
             let tr =
                 self.channels[array as usize].request(now, rec.nblocks as u64 * self.block_bytes);
@@ -109,20 +112,22 @@ impl<'t> Simulator<'t> {
             });
             self.note_channel_finish(req, tr.end);
             self.engine.schedule_at(tr.end, Ev::Issue(immediate.into()));
-            for ev in evictions {
+            for &ev in &evictions {
                 self.issue_writeback(Some(req), array, ev);
             }
             self.note_write_through();
+            self.cache_evictions = evictions;
             return;
         }
         let keep_old = self.cfg.organization.has_parity();
-        let (_hit, evictions) = self.caches[array as usize].write_access(&keys, keep_old);
+        self.caches[array as usize].write_into(keys, keep_old, &mut evictions);
         let now = self.engine.now();
         let tr = self.channels[array as usize].request(now, rec.nblocks as u64 * self.block_bytes);
         self.note_channel_finish(req, tr.end);
-        for ev in evictions {
+        for &ev in &evictions {
             self.issue_writeback(Some(req), array, ev);
         }
+        self.cache_evictions = evictions;
     }
 
     /// Synchronously write back an evicted dirty block (the evicting miss

@@ -11,8 +11,8 @@
 //! feeding, the RMW turnaround hold (Section 3.3), transient-error retry
 //! and escalation, and per-role completion bookkeeping. Scheduler
 //! statistics (per-band queue depth at each dispatch decision, arm travel
-//! per dispatched op) are collected unconditionally — they are pure
-//! observation and never touch timing.
+//! per dispatched op) are pure observation and never touch timing; they
+//! are collected only when the report attaches them.
 
 use super::*;
 
@@ -63,14 +63,16 @@ impl<'t> Simulator<'t> {
         }
         // Queue depths at the dispatch decision, the op about to be served
         // included.
-        let mut depths = [0.0f64; 3];
-        for band in Band::ALL {
-            let d = self.queues[g].band_len(band) as f64;
-            self.sched_qdepth[band.index()].push(d);
-            depths[band.index()] = d;
-        }
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.pushes.push(StatPush::QDepth(depths));
+        if self.sched_stats {
+            let mut depths = [0.0f64; 3];
+            for band in Band::ALL {
+                let d = self.queues[g].band_len(band) as f64;
+                self.sched_qdepth[band.index()].push(d);
+                depths[band.index()] = d;
+            }
+            if let Some(p) = self.par.as_deref_mut() {
+                p.note.pushes.push(StatPush::QDepth(depths));
+            }
         }
         let arm = self.disks[g].current_cylinder();
         let Some((_, token)) = self.queues[g].pop(arm) else {
@@ -91,10 +93,12 @@ impl<'t> Simulator<'t> {
             self.ops.band[t],
             self.ops.role[t],
         );
-        let seek_cyl = self.disks[gdisk as usize].arm_distance(block) as f64;
-        self.sched_seek_cyl.push(seek_cyl);
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.pushes.push(StatPush::Seek(seek_cyl));
+        if self.sched_stats {
+            let seek_cyl = self.disks[gdisk as usize].arm_distance(block) as f64;
+            self.sched_seek_cyl.push(seek_cyl);
+            if let Some(p) = self.par.as_deref_mut() {
+                p.note.pushes.push(StatPush::Seek(seek_cyl));
+            }
         }
         let timing = self.disks[gdisk as usize].plan(now, block, nblocks, kind);
         self.disk_counts.add(gdisk as usize, 1);
@@ -165,6 +169,7 @@ impl<'t> Simulator<'t> {
         self.jobs.ready[j] = self.jobs.ready[j].max(read_end);
         self.jobs.data_not_started[j] -= 1;
         self.jobs.refs[j] -= 1;
+        let mut release = Vec::new();
         if self.jobs.data_not_started[j] == 0 {
             match self.jobs.rule[j] {
                 EnqueueRule::AlreadyIssued => {}
@@ -175,14 +180,17 @@ impl<'t> Simulator<'t> {
                     }
                 }
                 EnqueueRule::AtAllStarted => {
-                    let pending = std::mem::take(&mut self.jobs.pending_parity[j]);
-                    for t in pending {
-                        self.enqueue_op(t);
-                    }
+                    release = std::mem::take(&mut self.jobs.pending_parity[j]);
                 }
             }
         }
+        // Settle this feeder's reference before releasing the parity ops:
+        // an op enqueued on a failed disk aborts on the spot and drops its
+        // own reference, which may be the job's last.
         self.maybe_free_job(job);
+        for t in release {
+            self.enqueue_op(t);
+        }
     }
 
     pub(super) fn maybe_free_job(&mut self, job: u32) {

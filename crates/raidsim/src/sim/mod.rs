@@ -379,8 +379,8 @@ struct ClassState {
 }
 
 /// Partition scope handed to construction by the parallel runner: the
-/// owned array range and arrival share, used to size the future-event list
-/// and entity slabs from the partition's own workload and to skip building
+/// owned array range and arrival share, used to size the entity slabs from
+/// the partition's own workload and to skip building
 /// full-size NV caches for foreign arrays (which receive no events).
 struct PartScope {
     lo: u32,
@@ -408,6 +408,11 @@ pub struct Simulator<'t> {
     admission_wait: Vec<VecDeque<(usize, u32)>>,
     caches: Vec<NvCache>,
     spools: Vec<ParitySpool>,
+    /// Scratch buffers of the cached request path (missing blocks of a
+    /// read, dirty evictions of a read or write), taken and put back per
+    /// request so the hot path allocates nothing once they have grown.
+    cache_missing: Vec<nvcache::BlockKey>,
+    cache_evictions: Vec<nvcache::DirtyEviction>,
 
     ops: OpSlab,
     jobs: JobSlab,
@@ -460,9 +465,10 @@ pub struct Simulator<'t> {
     bg_busy_cum: Vec<u64>,
     bg_until: Vec<SimTime>,
 
-    // Dispatch-layer statistics (collected unconditionally — pure
-    // observation; attached to the report only off the FCFS default or on
-    // `observability.scheduler_stats`).
+    // Dispatch-layer statistics (pure observation). Collected only when the
+    // report attaches them — off the FCFS default or on
+    // `observability.scheduler_stats` — so the default run pays one branch.
+    sched_stats: bool,
     sched_seek_cyl: Welford,
     sched_qdepth: [Welford; 3],
 
@@ -594,8 +600,8 @@ impl<'t> Simulator<'t> {
             failed_local[a as usize] = Some(d);
         }
 
-        // Last trace arrival: sizes the calendar queue below and bounds the
-        // fault timeline (an event past it would never fire).
+        // Last trace arrival: bounds the fault timeline (an event past it
+        // would never fire).
         let horizon_ns = trace.records.last().map_or(0, |r| r.at.as_ns());
 
         // Fault-injection plan: injected events resolved against the trace's
@@ -688,36 +694,18 @@ impl<'t> Simulator<'t> {
             None => None,
         };
 
-        // Pre-size the future-event list and entity slabs from the records
-        // this simulator will actually feed — the whole trace serially, the
-        // partition's own pre-split share in a parallel run. Pending events
-        // and live entities scale with in-flight requests, a small fraction
-        // of that count, so cap the reservation. Purely an allocation hint —
-        // results are identical without it.
+        // Pre-size the entity slabs from the records this simulator will
+        // actually feed — the whole trace serially, the partition's own
+        // pre-split share in a parallel run. Live entities scale with
+        // in-flight requests, a small fraction of that count, so cap the
+        // reservation. Purely an allocation hint — results are identical
+        // without it. The future-event list holds a few dozen events
+        // whatever the trace length (arrivals never enter it), so it gets a
+        // fixed reservation.
         let own_records = scope.map_or(trace.records.len(), |s| s.own_arrivals);
         let ev_cap = (own_records / 4).clamp(64, 1 << 14);
-        // Size the calendar-queue bucket width from the workload: each record
-        // expands to a handful of events, so mean event spacing is about
-        // the horizon over 8× the record count. Clamp to at most ~131 µs:
-        // the pending population is tiny (tens of events spanning one
-        // response time), so narrow buckets keep the per-pop in-bucket
-        // scan at O(1) — widths near the millisecond arrival spacing
-        // measured ~30% slower on the OLTP traces. The pop order, and
-        // therefore every result, is identical for any width (which is also
-        // why partitions may size from their own share without perturbing
-        // the merged byte-identical result).
-        let width_ns = if horizon_ns > 0 {
-            (horizon_ns / (own_records as u64 * 8).max(1)).clamp(1 << 10, 1 << 17)
-        } else {
-            0
-        };
-        let engine = if width_ns > 0 {
-            Engine::with_profile(width_ns, 1024)
-        } else {
-            Engine::with_capacity(ev_cap)
-        };
         Ok(Simulator {
-            engine,
+            engine: Engine::with_capacity(64),
             disks,
             queues: (0..total_disks)
                 .map(|_| SchedulerQueue::new(cfg.scheduler))
@@ -733,6 +721,8 @@ impl<'t> Simulator<'t> {
             admission_wait: (0..arrays).map(|_| VecDeque::new()).collect(),
             caches,
             spools,
+            cache_missing: Vec::with_capacity(64),
+            cache_evictions: Vec::with_capacity(64),
             ops: OpSlab::with_capacity(ev_cap),
             jobs: JobSlab::with_capacity(ev_cap / 4),
             reqs: Slab::with_capacity(ev_cap / 2),
@@ -766,6 +756,7 @@ impl<'t> Simulator<'t> {
             req_serial: 0,
             bg_busy_cum: vec![0; total_disks],
             bg_until: vec![SimTime::ZERO; total_disks],
+            sched_stats: cfg.scheduler != Discipline::Fcfs || cfg.observability.scheduler_stats,
             sched_seek_cyl: Welford::new(),
             sched_qdepth: [Welford::new(); 3],
             par: None,

@@ -243,15 +243,13 @@ impl<'t> Simulator<'t> {
         // Attached only off the FCFS default (or on explicit opt-in):
         // the default report must serialize byte-identically to the
         // pre-seam simulator.
-        let scheduler = (self.cfg.scheduler != Discipline::Fcfs
-            || self.cfg.observability.scheduler_stats)
-            .then(|| SchedulerReport {
-                discipline: self.cfg.scheduler.label().to_string(),
-                seek_distance_cyl: self.sched_seek_cyl,
-                queue_depth_priority: self.sched_qdepth[0],
-                queue_depth_normal: self.sched_qdepth[1],
-                queue_depth_background: self.sched_qdepth[2],
-            });
+        let scheduler = self.sched_stats.then(|| SchedulerReport {
+            discipline: self.cfg.scheduler.label().to_string(),
+            seek_distance_cyl: self.sched_seek_cyl,
+            queue_depth_priority: self.sched_qdepth[0],
+            queue_depth_normal: self.sched_qdepth[1],
+            queue_depth_background: self.sched_qdepth[2],
+        });
         SimReport {
             organization: self.cfg.organization.label().to_string(),
             requests_completed: self.completed,

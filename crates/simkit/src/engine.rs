@@ -142,19 +142,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Like [`Engine::with_capacity`], but sizing the calendar queue from
-    /// the workload's event-time distribution (see
-    /// [`EventQueue::with_profile`]): `width_ns` ≈ mean spacing between
-    /// event times, `nbuckets` ≈ typical pending-event count.
-    pub fn with_profile(width_ns: u64, nbuckets: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_profile(width_ns, nbuckets),
-            processed: 0,
-            rec: None,
-        }
-    }
-
     /// Current simulation time.
     #[inline]
     pub fn now(&self) -> SimTime {

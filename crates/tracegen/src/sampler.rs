@@ -73,11 +73,18 @@ pub fn exp_ns<R: Rng>(rng: &mut R, mean_ns: f64) -> u64 {
 
 /// Geometric sampler over `1..=max` (number of trials until first success),
 /// truncated; used for multiblock request lengths and LRU stack distances.
+///
+/// Each trial is the integer form of `rng.gen::<f64>() >= p`: a standard
+/// `f64` draw is `(next_u64() >> 11) · 2⁻⁵³`, exact, so it is `>= p`
+/// exactly when the 53-bit integer reaches `⌈p · 2⁵³⌉` (also exact: scaling
+/// by a power of two loses nothing). Same draws, same outcomes, no
+/// int-to-float conversion per trial.
 #[inline]
 pub fn geometric_trunc<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
     debug_assert!(p > 0.0 && p <= 1.0);
+    let fail_from = (p * (1u64 << 53) as f64).ceil() as u64;
     let mut k = 1;
-    while k < max && rng.gen::<f64>() >= p {
+    while k < max && (rng.next_u64() >> 11) >= fail_from {
         k += 1;
     }
     k
@@ -87,7 +94,7 @@ pub fn geometric_trunc<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{rngs::SmallRng, SeedableRng};
+    use rand::{rngs::SmallRng, RngCore, SeedableRng};
 
     #[test]
     fn uniform_when_theta_zero() {
@@ -143,6 +150,60 @@ mod tests {
         }
         // p=1 always returns 1.
         assert_eq!(geometric_trunc(&mut rng, 1.0, 32), 1);
+    }
+
+    /// Reference form of the trial: the float comparison the integer
+    /// threshold replaces.
+    fn geometric_float<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
+        let mut k = 1;
+        while k < max && rng.gen::<f64>() >= p {
+            k += 1;
+        }
+        k
+    }
+
+    /// The integer trial agrees with the float trial draw for draw, at
+    /// ordinary and at boundary probabilities (powers of two, the
+    /// smallest and largest representable steps), and leaves the RNG in
+    /// the same state.
+    #[test]
+    fn geometric_matches_float_comparison_exactly() {
+        let ps = [
+            0.000125,
+            0.1,
+            0.5,
+            0.25,
+            1.0,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 / (1u64 << 53) as f64,
+            3.0 / (1u64 << 53) as f64,
+            0.3,
+        ];
+        for (i, &p) in ps.iter().enumerate() {
+            let mut a = SmallRng::seed_from_u64(40 + i as u64);
+            let mut b = a.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    geometric_trunc(&mut a, p, 64),
+                    geometric_float(&mut b, p, 64),
+                    "p = {p}"
+                );
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "p = {p}: RNG streams diverged");
+        }
+    }
+
+    /// Threshold edge: the draws just below, at and just above `p · 2⁵³`
+    /// classify the same way under both comparisons.
+    #[test]
+    fn geometric_threshold_edges_agree() {
+        for p in [0.000125f64, 0.1, 0.3, 0.7] {
+            let fail_from = (p * (1u64 << 53) as f64).ceil() as u64;
+            for v in [fail_from - 1, fail_from, fail_from + 1] {
+                let u = v as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(v >= fail_from, u >= p, "p = {p}, v = {v}");
+            }
+        }
     }
 
     proptest! {

@@ -548,6 +548,40 @@ mod tests {
 }
 
 #[cfg(test)]
+mod pinned_streams {
+    use super::*;
+
+    /// FNV-1a 64 over every record's fields (little-endian), in trace order:
+    /// the identity the generator pins below.
+    fn records_digest(trace: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in &trace.records {
+            eat(&r.at.as_ns().to_le_bytes());
+            eat(&r.disk.to_le_bytes());
+            eat(&r.block.to_le_bytes());
+            eat(&r.nblocks.to_le_bytes());
+            eat(&[r.is_read() as u8]);
+        }
+        h
+    }
+
+    /// The full Trace 2 preset is a pure function of its spec: this digest
+    /// pins the exact record stream (and so the RNG draw sequence of every
+    /// sampler it uses). A change here moves every cached-array figure.
+    #[test]
+    fn trace2_preset_stream_is_pinned() {
+        let t = SynthSpec::trace2().generate();
+        assert_eq!(t.len(), 69_539);
+        assert_eq!(format!("{:016x}", records_digest(&t)), "912d20858ffd747e");
+    }
+}
+
+#[cfg(test)]
 mod reref_dist_tests {
     use super::*;
     use rand::{rngs::SmallRng, SeedableRng};

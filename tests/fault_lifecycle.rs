@@ -11,7 +11,10 @@
 //! documented fallback and must equal serial trivially).
 
 use diskmodel::DiskGeometry;
-use raidsim::{DiskFailure, FaultConfig, Organization, SimConfig, Simulator, SparingMode};
+use raidsim::{
+    run_fleet, DiskFailure, FaultConfig, FleetConfig, Organization, SimConfig, Simulator,
+    SparingMode,
+};
 use tracegen::{SynthSpec, Trace};
 
 /// Tiny disks (2 cylinders → 360 blocks) so whole-disk rebuilds complete
@@ -337,5 +340,27 @@ fn distributed_sparing_shortens_the_rebuild_on_a_wide_array() {
         "distributed rebuild {:.1} ms not shorter than hot-spare {:.1} ms",
         rebuild_ms[1],
         rebuild_ms[0]
+    );
+}
+
+/// Regression: a demo-fleet seed whose VA 0 disk failure used to free a
+/// parity job twice (`on_disk_done → try_start → start_op → feed_job →
+/// maybe_free_job`) and panic with "double free". The fleet must run to
+/// completion and serve every demanded request.
+#[test]
+fn demo_fleet_failure_does_not_double_free_a_parity_job() {
+    let mut fleet = FleetConfig::demo();
+    fleet.seed ^= 23u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fleet.duration_secs = 5.0;
+    let demand: u64 = fleet
+        .tenants
+        .iter()
+        .map(|t| ((t.demand_iops * fleet.duration_secs).ceil() as u64).max(1))
+        .sum();
+    let (report, _) = run_fleet(&fleet, 1).expect("demo fleet runs");
+    assert_eq!(report.requests_completed, demand);
+    assert!(
+        !report.blast_radius.is_empty(),
+        "the disk failure must degrade at least one tenant"
     );
 }

@@ -315,3 +315,49 @@ mod prop {
         }
     }
 }
+
+/// Scheduler statistics under FCFS with `observability.scheduler_stats`,
+/// recorded while they were still collected on every run: FNV-1a of the
+/// `{:?}`-formatted `SchedulerReport` (Trace 2 ×0.02, seed 7, two arrays
+/// of five data disks), cached and not. Collecting them only when the
+/// report attaches them must leave every value as it was, serially and
+/// through the partitioned runner's journal.
+const FCFS_OPT_IN_SCHEDULER_HASHES: [(usize, bool, u64); 10] = [
+    (0, false, 0x2688_f686_e4f8_6192), // Base
+    (0, true, 0x6e1c_fb55_6872_5f38),
+    (1, false, 0x4187_4c2b_6bd2_0882), // Mirror
+    (1, true, 0x3354_a323_60af_8466),
+    (2, false, 0x6df5_3208_82f3_ee73), // RAID5
+    (2, true, 0xfe2a_4099_1978_5252),
+    (3, false, 0xc55a_7508_6276_4a27), // RAID4
+    (3, true, 0xe006_2110_0103_2ff2),
+    (4, false, 0xd039_2d40_fb47_c2d0), // Parity Striping
+    (4, true, 0x17b9_aafa_e299_90a7),
+];
+
+#[test]
+fn fcfs_opt_in_scheduler_stats_match_recorded_values() {
+    let trace = SynthSpec::trace2().scaled(0.02).generate();
+    let orgs = organizations();
+    for &(i, cached, want) in &FCFS_OPT_IN_SCHEDULER_HASHES {
+        let mut cfg = config(orgs[i], cached, Discipline::Fcfs);
+        cfg.data_disks_per_array = 5;
+        cfg.observability.scheduler_stats = true;
+        let serial = Simulator::new(cfg.clone(), &trace).run();
+        let sched = format!("{:?}", serial.scheduler.expect("opt-in attaches stats"));
+        let (par, _, partitioned) = Simulator::new(cfg, &trace).run_par_instrumented(2);
+        assert!(partitioned, "two arrays at two threads must partition");
+        assert_eq!(
+            format!("{:?}", par.scheduler.expect("opt-in attaches stats")),
+            sched,
+            "{} cached={cached}: partitioned scheduler stats diverged",
+            orgs[i].label()
+        );
+        assert_eq!(
+            fnv1a(sched.as_bytes()),
+            want,
+            "{} cached={cached}: scheduler stats moved: {sched}",
+            orgs[i].label()
+        );
+    }
+}
