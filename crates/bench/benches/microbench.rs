@@ -7,8 +7,10 @@ use diskmodel::{AccessKind, Disk, DiskGeometry, SeekCurve};
 use nvcache::{BlockKey, NvCache};
 use raidsim::mapping::OrgMap;
 use raidsim::{Organization, ParityPlacement, SimConfig, Simulator};
+use rand::SeedableRng;
 use simkit::{EventQueue, SimTime};
-use tracegen::SynthSpec;
+use tracegen::sampler::geometric_trunc;
+use tracegen::{StreamRng, SynthSpec};
 
 /// Pending events the simulator's future-event list typically holds (one
 /// completion per busy disk, destage ticks, staged issues): tens, not
@@ -130,6 +132,26 @@ fn bench_tracegen(c: &mut Criterion) {
     let spec = SynthSpec::trace2().scaled(0.1);
     g.throughput(Throughput::Elements(spec.n_requests as u64));
     g.bench_function("trace2_10pct", |b| b.iter(|| black_box(spec.generate())));
+    // Full size: the write-after-read stack distance is drawn over a
+    // history that fills as the trace grows, so the geometric trials per
+    // record rise with length and the 10% case understates them.
+    let spec = SynthSpec::trace2();
+    g.throughput(Throughput::Elements(spec.n_requests as u64));
+    g.bench_function("trace2_full", |b| b.iter(|| black_box(spec.generate())));
+    // Trace 2's write-after-read draw on a full 65k-entry history: ~8000
+    // trials per draw; on AVX-512F CPUs nearly all are skipped through the
+    // candidate bitmap.
+    g.throughput(Throughput::Elements(1_000));
+    g.bench_function("geometric_trunc_p0.000125_1k", |b| {
+        let mut rng = StreamRng::seed_from_u64(2);
+        b.iter(|| {
+            let mut sum = 0u64;
+            for _ in 0..1_000 {
+                sum += geometric_trunc(&mut rng, 0.000125, 65_000) as u64;
+            }
+            black_box(sum)
+        })
+    });
     g.finish();
 }
 

@@ -205,17 +205,14 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
 mod tests {
     use super::*;
 
-    /// The demo fleet's first tenant substream is pinned record for record
-    /// (FNV-1a 64 over each record's fields): tenant generation is the
-    /// bulk of a fleet run, and its draw sequence must not drift.
-    #[test]
-    fn demo_tenant_stream_is_pinned() {
+    /// FNV-1a 64 over each record's fields, with the record count.
+    fn tenant_digest(t: usize) -> String {
         let mut fleet = FleetConfig::demo();
         fleet.duration_secs = 60.0;
         let plan = allocate(&fleet).unwrap();
-        let t = tenant_substream(&fleet, &plan, 0).spec.generate();
+        let trace = tenant_substream(&fleet, &plan, t).spec.generate();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in &t.records {
+        for r in &trace.records {
             let fields = [
                 &r.at.as_ns().to_le_bytes()[..],
                 &r.disk.to_le_bytes(),
@@ -227,7 +224,24 @@ mod tests {
                 h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
             }
         }
-        assert_eq!(format!("{:016x}/{}", h, t.len()), "b478882137fa100a/5400");
+        format!("{:016x}/{}", h, trace.len())
+    }
+
+    /// The demo fleet's first tenant substream is pinned record for record:
+    /// tenant generation is the bulk of a fleet run, and its draw sequence
+    /// must not drift.
+    #[test]
+    fn demo_tenant_stream_is_pinned() {
+        assert_eq!(tenant_digest(0), "b478882137fa100a/5400");
+    }
+
+    /// The `batch` tenant (80% writes) makes the most write-after-read
+    /// draws of any demo tenant, retries included, so it exercises the
+    /// geometric stack-distance draw hardest.
+    #[test]
+    fn demo_batch_tenant_stream_is_pinned() {
+        assert_eq!(FleetConfig::demo().tenants[2].id, "batch");
+        assert_eq!(tenant_digest(2), "18372fdd7ec46570/3000");
     }
 
     #[test]

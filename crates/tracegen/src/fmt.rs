@@ -119,36 +119,56 @@ pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
                 message: "trailing fields after access type".into(),
             });
         }
+        let err = |message: String| ParseError {
+            line: lineno,
+            message,
+        };
+        // The run's end must be representable; without a header it also
+        // becomes the inferred disk size.
+        let Some(end) = block.checked_add(nblocks as u64) else {
+            return Err(err(format!(
+                "run [{block}, +{nblocks}) overflows the block address space"
+            )));
+        };
         // With a header, bounds-check each run where it appears so the
         // error names the offending line instead of failing in the final
         // whole-trace validation.
         if let Some((n_disks, bpd)) = header {
             if disk >= n_disks {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("disk {disk} out of range (header declares {n_disks} disks)"),
-                });
+                return Err(err(format!(
+                    "disk {disk} out of range (header declares {n_disks} disks)"
+                )));
             }
-            if block.saturating_add(nblocks as u64) > bpd {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!(
-                        "run [{block}, {}) past the end of the disk ({bpd} blocks)",
-                        block.saturating_add(nblocks as u64)
-                    ),
-                });
+            if end > bpd {
+                return Err(err(format!(
+                    "run [{block}, {end}) past the end of the disk ({bpd} blocks)"
+                )));
             }
+        } else if disk == u32::MAX {
+            return Err(err(format!(
+                "disk {disk} leaves no room for the inferred disk count"
+            )));
         }
-        now += delta_ns;
+        let Some(at_ns) = now.as_ns().checked_add(delta_ns) else {
+            return Err(err(format!(
+                "arrival time overflows u64 ns (delta {delta_ns})"
+            )));
+        };
+        now = SimTime::from_ns(at_ns);
 
         // Coalesce a zero-delta contiguous continuation.
         if delta_ns == 0 {
             if let Some(last) = records.last_mut() {
                 if last.disk == disk
                     && last.kind == kind
-                    && last.block + last.nblocks as u64 == block
+                    && last.block.checked_add(last.nblocks as u64) == Some(block)
                 {
-                    last.nblocks += nblocks;
+                    last.nblocks = last.nblocks.checked_add(nblocks).ok_or_else(|| {
+                        err(format!(
+                            "coalesced run of {} + {nblocks} blocks overflows nblocks",
+                            last.nblocks
+                        ))
+                    })?;
                     continue;
                 }
             }
@@ -164,6 +184,8 @@ pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
 
     let (n_disks, blocks_per_disk) = header.unwrap_or_else(|| {
         // Infer bounds when no header is present.
+        // Every record was checked above: `disk < u32::MAX` and its run end
+        // fits in u64.
         let disks = records.iter().map(|r| r.disk + 1).max().unwrap_or(1);
         let blocks = records
             .iter()
@@ -284,6 +306,44 @@ mod tests {
             "\u{0} \u{0}",
         ] {
             let _ = parse_trace(bad);
+        }
+    }
+
+    /// Fields whose sums overflow (coalesced run length, inferred disk
+    /// count, run end, arrival time) are `ParseError`s naming the line,
+    /// in debug and release builds alike.
+    #[test]
+    fn overflowing_fields_are_parse_errors() {
+        for (bad, line, needle) in [
+            (
+                "1 0 0 4294967295 R\n0 0 4294967295 1 R\n",
+                2,
+                "overflows nblocks",
+            ),
+            (
+                "1 4294967295 0 1 R\n",
+                1,
+                "no room for the inferred disk count",
+            ),
+            (
+                "1 0 18446744073709551615 1 R\n",
+                1,
+                "overflows the block address space",
+            ),
+            (
+                "18446744073709551615 0 0 1 R\n5 0 1 1 R\n",
+                2,
+                "arrival time overflows",
+            ),
+            (
+                "1 0 18446744073709551615 1 R\n0 0 5 1 R\n",
+                1,
+                "overflows the block address space",
+            ),
+        ] {
+            let e = parse_trace(bad).unwrap_err();
+            assert_eq!(e.line, line, "{bad:?}: {e}");
+            assert!(e.message.contains(needle), "{bad:?}: {e}");
         }
     }
 

@@ -35,6 +35,7 @@ pub mod record;
 pub mod router;
 pub mod sampler;
 pub mod split;
+pub mod stream;
 pub mod synth;
 pub mod transform;
 
@@ -42,4 +43,5 @@ pub use characterize::TraceStats;
 pub use record::{AccessType, Trace, TraceRecord};
 pub use router::{route, RoutedTrace, TenantStream};
 pub use split::ArrivalSplit;
+pub use stream::StreamRng;
 pub use synth::{RerefDist, SynthSpec};

@@ -88,7 +88,10 @@ impl Trace {
             if r.disk >= self.n_disks {
                 return Err(format!("record {i}: disk {} out of range", r.disk));
             }
-            if r.block + r.nblocks as u64 > self.blocks_per_disk {
+            if r.block
+                .checked_add(r.nblocks as u64)
+                .is_none_or(|end| end > self.blocks_per_disk)
+            {
                 return Err(format!("record {i}: block run exceeds disk size"));
             }
         }
@@ -147,6 +150,11 @@ mod tests {
         let mut t = Trace::new(2, 100);
         t.records.push(rec(1, 0, 0, 0, AccessType::Read));
         assert!(t.validate().unwrap_err().contains("zero-length"));
+
+        // A run whose end overflows u64 is past any disk, not wrapped.
+        let mut t = Trace::new(2, u64::MAX);
+        t.records.push(rec(1, 0, u64::MAX, 1, AccessType::Read));
+        assert!(t.validate().unwrap_err().contains("exceeds disk size"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Discrete samplers used by the workload generator.
 
+use crate::stream::StreamRng;
 use rand::Rng;
 
 /// Zipf-like sampler over `0..n` via inverse-CDF table lookup.
@@ -77,17 +78,14 @@ pub fn exp_ns<R: Rng>(rng: &mut R, mean_ns: f64) -> u64 {
 /// Each trial is the integer form of `rng.gen::<f64>() >= p`: a standard
 /// `f64` draw is `(next_u64() >> 11) · 2⁻⁵³`, exact, so it is `>= p`
 /// exactly when the 53-bit integer reaches `⌈p · 2⁵³⌉` (also exact: scaling
-/// by a power of two loses nothing). Same draws, same outcomes, no
-/// int-to-float conversion per trial.
+/// by a power of two loses nothing). [`StreamRng::geometric_trials`] runs
+/// the trials; for `p ≤ 2⁻⁹` on AVX-512F CPUs it skips the draws that
+/// cannot succeed.
 #[inline]
-pub fn geometric_trunc<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
+pub fn geometric_trunc(rng: &mut StreamRng, p: f64, max: u32) -> u32 {
     debug_assert!(p > 0.0 && p <= 1.0);
     let fail_from = (p * (1u64 << 53) as f64).ceil() as u64;
-    let mut k = 1;
-    while k < max && (rng.next_u64() >> 11) >= fail_from {
-        k += 1;
-    }
-    k
+    rng.geometric_trials(fail_from, max)
 }
 
 #[cfg(test)]
@@ -143,7 +141,7 @@ mod tests {
 
     #[test]
     fn geometric_respects_truncation() {
-        let mut rng = SmallRng::seed_from_u64(11);
+        let mut rng = StreamRng::seed_from_u64(11);
         for _ in 0..10_000 {
             let k = geometric_trunc(&mut rng, 0.1, 32);
             assert!((1..=32).contains(&k));
@@ -162,10 +160,10 @@ mod tests {
         k
     }
 
-    /// The integer trial agrees with the float trial draw for draw, at
-    /// ordinary and at boundary probabilities (powers of two, the
-    /// smallest and largest representable steps), and leaves the RNG in
-    /// the same state.
+    /// The sampler agrees with the float trial on `SmallRng` draw for
+    /// draw, at ordinary and at boundary probabilities (powers of two, the
+    /// smallest and largest representable steps), and leaves the stream
+    /// at the same position.
     #[test]
     fn geometric_matches_float_comparison_exactly() {
         let ps = [
@@ -180,8 +178,8 @@ mod tests {
             0.3,
         ];
         for (i, &p) in ps.iter().enumerate() {
-            let mut a = SmallRng::seed_from_u64(40 + i as u64);
-            let mut b = a.clone();
+            let mut a = StreamRng::seed_from_u64(40 + i as u64);
+            let mut b = SmallRng::seed_from_u64(40 + i as u64);
             for _ in 0..2_000 {
                 assert_eq!(
                     geometric_trunc(&mut a, p, 64),

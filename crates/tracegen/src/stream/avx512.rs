@@ -1,0 +1,120 @@
+//! AVX-512F fill kernel: the eight lanes' states live one word per lane
+//! in four 512-bit registers, so one vector step advances every lane.
+//!
+//! This module is the workspace's only `unsafe` code: the
+//! `#[target_feature]` call, the vector stores and the register↔array
+//! transmutes.
+
+use super::lanes::{Block, CANDIDATE_BOUND, L, W};
+use super::State;
+use std::arch::x86_64::{
+    __m512i, _mm512_add_epi64, _mm512_cmplt_epu64_mask, _mm512_rol_epi64, _mm512_set1_epi64,
+    _mm512_shuffle_i64x2, _mm512_slli_epi64, _mm512_storeu_si512, _mm512_unpackhi_epi64,
+    _mm512_unpacklo_epi64, _mm512_xor_si512,
+};
+
+/// Proof that this CPU supports AVX-512F: only [`Token::detect`] makes one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Token(());
+
+impl Token {
+    pub(super) fn detect() -> Option<Token> {
+        std::arch::is_x86_feature_detected!("avx512f").then_some(Token(()))
+    }
+}
+
+/// Fill `block` with lane `j` stepping from `seeds[j]`, mark its
+/// candidates, and return each lane's end state.
+pub(super) fn fill(_token: Token, seeds: &[State; W], block: &mut Block) -> [State; W] {
+    // SAFETY: a `Token` exists only if `is_x86_feature_detected!("avx512f")`
+    // returned true on this CPU, and AVX-512F is the only feature
+    // `fill_avx512` enables.
+    unsafe { fill_avx512(seeds, block) }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+unsafe fn fill_avx512(seeds: &[State; W], block: &mut Block) -> [State; W] {
+    let word = |k: usize| -> __m512i {
+        let mut lanes = [0u64; W];
+        for (lane, seed) in lanes.iter_mut().zip(seeds) {
+            *lane = seed[k];
+        }
+        // SAFETY: `[u64; 8]` and `__m512i` have the same size, and every
+        // bit pattern is valid for both.
+        unsafe { std::mem::transmute::<[u64; W], __m512i>(lanes) }
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (word(0), word(1), word(2), word(3));
+    let bound = _mm512_set1_epi64(CANDIDATE_BOUND as i64);
+    block.hits.fill(0);
+    let out = block.words.as_mut_ptr();
+    for i in (0..L).step_by(8) {
+        // rows[r] holds every lane's output at step i + r.
+        let mut rows = [_mm512_set1_epi64(0); 8];
+        for row in &mut rows {
+            *row = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+            let t = _mm512_slli_epi64::<17>(s1);
+            s2 = _mm512_xor_si512(s2, s0);
+            s3 = _mm512_xor_si512(s3, s1);
+            s1 = _mm512_xor_si512(s1, s2);
+            s0 = _mm512_xor_si512(s0, s3);
+            s2 = _mm512_xor_si512(s2, t);
+            s3 = _mm512_rol_epi64::<45>(s3);
+        }
+        // After the transpose, rows[j] holds lane j's outputs at steps
+        // i..i+8: eight consecutive stream words.
+        transpose8x8(&mut rows);
+        for (j, row) in rows.iter().enumerate() {
+            let at = j * L + i;
+            // SAFETY: `at + 8 ≤ (W−1)·L + L = BLOCK`, so the unaligned
+            // 64-byte store stays inside `block.words`.
+            unsafe { _mm512_storeu_si512(out.add(at).cast::<__m512i>(), *row) };
+            let mask = _mm512_cmplt_epu64_mask(*row, bound);
+            block.hits[at / 64] |= u64::from(mask) << (at % 64);
+        }
+    }
+    let lanes = |v: __m512i| -> [u64; W] {
+        // SAFETY: as for `word`, the two types share size and validity.
+        unsafe { std::mem::transmute::<__m512i, [u64; W]>(v) }
+    };
+    let (e0, e1, e2, e3) = (lanes(s0), lanes(s1), lanes(s2), lanes(s3));
+    std::array::from_fn(|j| [e0[j], e1[j], e2[j], e3[j]])
+}
+
+/// Transpose an 8×8 matrix of 64-bit words held as eight row vectors.
+#[target_feature(enable = "avx512f")]
+fn transpose8x8(r: &mut [__m512i; 8]) {
+    // Pairs within 128-bit chunks: t[2m] = (r[2m][2c], r[2m+1][2c]) in
+    // chunk c, t[2m+1] the odd columns.
+    let t = [
+        _mm512_unpacklo_epi64(r[0], r[1]),
+        _mm512_unpackhi_epi64(r[0], r[1]),
+        _mm512_unpacklo_epi64(r[2], r[3]),
+        _mm512_unpackhi_epi64(r[2], r[3]),
+        _mm512_unpacklo_epi64(r[4], r[5]),
+        _mm512_unpackhi_epi64(r[4], r[5]),
+        _mm512_unpacklo_epi64(r[6], r[7]),
+        _mm512_unpackhi_epi64(r[6], r[7]),
+    ];
+    // 0x88 picks chunks (0, 2) of each source, 0xDD chunks (1, 3).
+    let u = [
+        _mm512_shuffle_i64x2::<0x88>(t[0], t[2]),
+        _mm512_shuffle_i64x2::<0x88>(t[1], t[3]),
+        _mm512_shuffle_i64x2::<0xDD>(t[0], t[2]),
+        _mm512_shuffle_i64x2::<0xDD>(t[1], t[3]),
+        _mm512_shuffle_i64x2::<0x88>(t[4], t[6]),
+        _mm512_shuffle_i64x2::<0x88>(t[5], t[7]),
+        _mm512_shuffle_i64x2::<0xDD>(t[4], t[6]),
+        _mm512_shuffle_i64x2::<0xDD>(t[5], t[7]),
+    ];
+    r[0] = _mm512_shuffle_i64x2::<0x88>(u[0], u[4]);
+    r[1] = _mm512_shuffle_i64x2::<0x88>(u[1], u[5]);
+    r[2] = _mm512_shuffle_i64x2::<0x88>(u[2], u[6]);
+    r[3] = _mm512_shuffle_i64x2::<0x88>(u[3], u[7]);
+    r[4] = _mm512_shuffle_i64x2::<0xDD>(u[0], u[4]);
+    r[5] = _mm512_shuffle_i64x2::<0xDD>(u[1], u[5]);
+    r[6] = _mm512_shuffle_i64x2::<0xDD>(u[2], u[6]);
+    r[7] = _mm512_shuffle_i64x2::<0xDD>(u[3], u[7]);
+}

@@ -2,8 +2,9 @@
 
 use crate::record::{AccessType, Trace, TraceRecord};
 use crate::sampler::{exp_ns, geometric_trunc, Zipf};
+use crate::stream::StreamRng;
 use rand::seq::SliceRandom;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
@@ -24,7 +25,7 @@ pub enum RerefDist {
 }
 
 impl RerefDist {
-    fn sample<R: Rng>(&self, rng: &mut R, len: u32) -> u32 {
+    fn sample(&self, rng: &mut StreamRng, len: u32) -> u32 {
         match *self {
             RerefDist::Geometric { p } => geometric_trunc(rng, p, len),
             RerefDist::LogUniform { min } => {
@@ -193,7 +194,7 @@ impl SynthSpec {
 
     /// Generate the trace. Deterministic in the spec (including seed).
     pub fn generate(&self) -> Trace {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = StreamRng::seed_from_u64(self.seed);
         let mut trace = Trace::new(self.n_disks, self.blocks_per_disk);
         trace.records.reserve(self.n_requests);
 
@@ -312,9 +313,9 @@ impl SynthSpec {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn pick_address<R: Rng>(
+    fn pick_address(
         &self,
-        rng: &mut R,
+        rng: &mut StreamRng,
         is_write: bool,
         nblocks: u32,
         disk_zipf: &Zipf,
@@ -364,9 +365,9 @@ impl SynthSpec {
 
     /// Draw a history entry at a sampled stack distance; writes retry a
     /// few times to land on a read entry.
-    fn pick_from_history<'h, R: Rng>(
+    fn pick_from_history<'h>(
         &self,
-        rng: &mut R,
+        rng: &mut StreamRng,
         history: &'h [(u32, u64, bool)],
         head: usize,
         want_read: bool,
@@ -579,15 +580,23 @@ mod pinned_streams {
         assert_eq!(t.len(), 69_539);
         assert_eq!(format!("{:016x}", records_digest(&t)), "912d20858ffd747e");
     }
+
+    /// Trace 1 at 2% scale: covers the geometric write-after-read draw at
+    /// p = 0.0017 and the log-uniform read re-reference path.
+    #[test]
+    fn trace1_scaled_stream_is_pinned() {
+        let t = SynthSpec::trace1().scaled(0.02).generate();
+        assert_eq!(t.len(), 67_250);
+        assert_eq!(format!("{:016x}", records_digest(&t)), "77985a830f22c20c");
+    }
 }
 
 #[cfg(test)]
 mod reref_dist_tests {
     use super::*;
-    use rand::{rngs::SmallRng, SeedableRng};
 
     fn samples(dist: RerefDist, len: u32, n: usize) -> Vec<u32> {
-        let mut rng = SmallRng::seed_from_u64(99);
+        let mut rng = StreamRng::seed_from_u64(99);
         (0..n).map(|_| dist.sample(&mut rng, len)).collect()
     }
 
