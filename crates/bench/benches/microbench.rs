@@ -5,12 +5,12 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use diskmodel::{AccessKind, Disk, DiskGeometry, SeekCurve};
 use nvcache::{BlockKey, NvCache};
-use raidsim::mapping::OrgMap;
+use raidsim::mapping::{OrgMap, PlanBuf, PlanMark};
 use raidsim::{Organization, ParityPlacement, SimConfig, Simulator};
 use rand::SeedableRng;
 use simkit::{EventQueue, SimTime};
 use tracegen::sampler::geometric_trunc;
-use tracegen::{StreamRng, SynthSpec};
+use tracegen::{AccessType, StreamRng, SynthSpec};
 
 /// Pending events the simulator's future-event list typically holds (one
 /// completion per busy disk, destage ticks, staged issues): tens, not
@@ -102,6 +102,19 @@ fn bench_mapping(c: &mut Criterion) {
             })
         });
     }
+    // The simulator's form: RAID5 planned into one reused flat buffer.
+    let raid5 = &maps[1].1;
+    let cap = raid5.logical_capacity();
+    g.bench_function("write_plan_into", |b| {
+        let mut plan = PlanBuf::default();
+        let mut laddr = 0u64;
+        b.iter(|| {
+            laddr = (laddr + 104_729) % (cap - 4);
+            plan.truncate(PlanMark::default());
+            raid5.write_plan_into(laddr, 4, &mut plan);
+            black_box(plan.runs.len())
+        })
+    });
     g.finish();
 }
 
@@ -124,6 +137,48 @@ fn bench_cache(c: &mut Criterion) {
             }
         })
     });
+    // Trace 2 replayed through one cache the way a cached array drives it
+    // (probe + fetch on reads, write with old copies, a destage sweep each
+    // simulated second), below the working set and above it. 4 MB keeps
+    // its nodes and index in L2; 256 MB holds the whole working set, whose
+    // nodes and index (about 3.5 MiB) outgrow a 2 MiB L2.
+    let trace = SynthSpec::trace2().generate();
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    for mb in [4u64, 256] {
+        let blocks = nvcache::blocks_for_mb(mb, 4096) as usize;
+        g.bench_function(format!("trace2_replay_{mb}mb"), |b| {
+            b.iter(|| {
+                let mut cache = NvCache::new(blocks);
+                let (mut missing, mut evictions, mut groups) = (Vec::new(), Vec::new(), Vec::new());
+                let mut next_destage = SimTime::from_ms(1_000);
+                for rec in &trace.records {
+                    while rec.at >= next_destage {
+                        groups.clear();
+                        cache.collect_destage_into(&mut groups);
+                        for g in &groups {
+                            cache.destage_complete(g);
+                        }
+                        next_destage = SimTime::from_ns(next_destage.as_ns() + 1_000_000_000);
+                    }
+                    let keys = BlockKey::range(rec.disk, rec.block, rec.nblocks);
+                    evictions.clear();
+                    match rec.kind {
+                        AccessType::Read => {
+                            missing.clear();
+                            cache.read_probe_into(keys, &mut missing);
+                            for &k in &missing {
+                                cache.fetch_into(k, &mut evictions);
+                            }
+                        }
+                        AccessType::Write => {
+                            cache.write_into(keys, true, &mut evictions);
+                        }
+                    }
+                }
+                black_box(*cache.stats())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -1,6 +1,6 @@
 //! LRU cache with dirty/old-data tracking and destage grouping.
 
-use crate::table::BlockMap;
+use crate::table::{BlockMap, Probe, NIL};
 use serde::{Deserialize, Serialize};
 
 /// Identity of a logical block: (logical disk, block within disk).
@@ -19,6 +19,32 @@ impl BlockKey {
     /// `disk` — a request's footprint, without materializing it.
     pub fn range(disk: u32, block: u64, nblocks: u32) -> impl Iterator<Item = BlockKey> + Clone {
         (block..block + nblocks as u64).map(move |b| BlockKey::new(disk, b))
+    }
+
+    /// Bits of a packed key that hold the block number.
+    const BLOCK_BITS: u32 = 40;
+    /// Disks a cache can key (24 bits of the packed key).
+    pub const MAX_DISKS: u32 = 1 << (64 - Self::BLOCK_BITS);
+    /// Blocks per disk a cache can key (40 bits of the packed key).
+    pub const MAX_BLOCKS: u64 = 1 << Self::BLOCK_BITS;
+
+    /// The key as one `u64`: the disk in the top 24 bits, the block in the
+    /// low 40. Packed keys order like `BlockKey`s, by (disk, block).
+    #[inline]
+    pub(crate) fn packed(self) -> u64 {
+        assert!(
+            self.disk < Self::MAX_DISKS && self.block < Self::MAX_BLOCKS,
+            "{self:?} is outside the cache's key space"
+        );
+        ((self.disk as u64) << Self::BLOCK_BITS) | self.block
+    }
+
+    #[inline]
+    pub(crate) fn unpack(key: u64) -> BlockKey {
+        BlockKey::new(
+            (key >> Self::BLOCK_BITS) as u32,
+            key & ((1 << Self::BLOCK_BITS) - 1),
+        )
     }
 }
 
@@ -74,18 +100,34 @@ fn ratio(hits: u64, misses: u64) -> f64 {
     }
 }
 
-const NIL: usize = usize::MAX;
+/// Node flag bits.
+const OLD: u8 = 1;
+const DIRTY: u8 = 2;
+const DESTAGING: u8 = 4;
+const REDIRTIED: u8 = 8;
+const FREE: u8 = 16;
 
-#[derive(Clone, Debug)]
+/// One cached block: a data block, or the old-data copy of one. Ids are
+/// `u32` indices into the node slab; [`NIL`] means "none".
+#[derive(Clone, Copy, Debug)]
 struct Node {
-    key: BlockKey,
-    is_old: bool,
-    dirty: bool,
-    destaging: bool,
-    redirtied: bool,
-    has_old: bool,
-    prev: usize,
-    next: usize,
+    /// Packed [`BlockKey`]; an old copy carries its owner's key.
+    key: u64,
+    prev: u32,
+    next: u32,
+    /// A data node's old copy, or an old copy's owner ([`NIL`]: none).
+    /// Doubles as the free-list link of a freed node.
+    link: u32,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
+impl Node {
+    #[inline]
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
 }
 
 /// The non-volatile controller cache. See the crate docs for the model.
@@ -93,40 +135,62 @@ struct Node {
 /// Capacity is in blocks. All mutating operations may evict; dirty
 /// evictions are returned to the caller, which owes a synchronous disk
 /// write for each.
+///
+/// Layout: a slab of 24-byte nodes threaded on an intrusive LRU list, and
+/// an index from data-block keys to node ids. An old-data copy is not in
+/// the index: its owner links to it and it links back, while it keeps its
+/// own LRU position.
 #[derive(Clone, Debug)]
 pub struct NvCache {
     capacity: usize,
     reserved: usize,
     nodes: Vec<Node>,
-    free: Vec<usize>,
+    /// Head of the free-node list, threaded through `Node::link`.
+    free: u32,
     index: BlockMap,
-    /// Every block that became destageable (dirty and not in flight to
-    /// disk) since the last [`NvCache::collect_destage`], appended on each
-    /// such transition. Entries are never removed in place: the collect
-    /// sorts and deduplicates them into (disk, block) order — the exact
-    /// order destage grouping depends on — and drops the ones that have
+    /// Every (key, node) that became destageable (dirty and not in flight
+    /// to disk) since the last [`NvCache::collect_destage_into`], appended
+    /// on each such transition. Entries are never removed in place: the
+    /// collect sorts them into (disk, block) order — the exact order
+    /// destage grouping depends on — and skips the ones whose node has
     /// since been evicted, cleaned or pinned. So it never scans the index,
     /// and the hot path pays a `Vec` push instead of an ordered-set insert.
-    collectable: Vec<BlockKey>,
+    collectable: Vec<(u64, u32)>,
     /// Count of dirty data blocks, including ones currently destaging.
     /// Maintained on every clean↔dirty transition so [`NvCache::dirty_count`]
-    /// is O(1) — it used to be a full index scan on every destage tick.
+    /// is O(1).
     dirty_len: usize,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     len: usize,
     stats: CacheStats,
 }
 
 impl NvCache {
+    /// The largest capacity a cache can have: node ids are `u32`, with
+    /// `u32::MAX` reserved for "none".
+    pub const MAX_CAPACITY: usize = NIL as usize - 1;
+
+    /// Blocks the node slab and the index are sized for up front (a 256 MB
+    /// cache of 4 KB blocks); larger caches grow them as blocks arrive.
+    const PRESIZED_BLOCKS: usize = 1 << 16;
+
+    /// An empty cache of `capacity_blocks` blocks. The node slab and the
+    /// index start sized for at most [`Self::PRESIZED_BLOCKS`] blocks and
+    /// grow with use, so a cache far larger than its working set costs only
+    /// what it holds.
     pub fn new(capacity_blocks: usize) -> NvCache {
         assert!(capacity_blocks >= 2, "cache too small to be meaningful");
+        assert!(
+            capacity_blocks <= Self::MAX_CAPACITY,
+            "cache of {capacity_blocks} blocks exceeds the u32 node ids"
+        );
         NvCache {
             capacity: capacity_blocks,
             reserved: 0,
-            nodes: Vec::with_capacity(capacity_blocks + 1),
-            free: Vec::new(),
-            index: BlockMap::with_capacity(capacity_blocks + 1),
+            nodes: Vec::with_capacity(capacity_blocks.min(Self::PRESIZED_BLOCKS) + 1),
+            free: NIL,
+            index: BlockMap::with_capacity(capacity_blocks.min(Self::PRESIZED_BLOCKS)),
             collectable: Vec::new(),
             dirty_len: 0,
             head: NIL,
@@ -166,21 +230,33 @@ impl NvCache {
         self.capacity.saturating_sub(self.reserved)
     }
 
+    #[inline]
+    fn node(&self, i: u32) -> &Node {
+        &self.nodes[i as usize]
+    }
+
+    #[inline]
+    fn node_mut(&mut self, i: u32) -> &mut Node {
+        &mut self.nodes[i as usize]
+    }
+
     /// Non-touching presence probe (diagnostics/tests).
     pub fn contains(&self, key: BlockKey) -> bool {
-        self.index.contains_key((key, false))
+        self.index.get(key.packed()).is_some()
     }
 
     /// Whether the data block is dirty.
     pub fn is_dirty(&self, key: BlockKey) -> bool {
         self.index
-            .get((key, false))
-            .is_some_and(|i| self.nodes[i].dirty)
+            .get(key.packed())
+            .is_some_and(|i| self.node(i).has(DIRTY))
     }
 
     /// Whether an old-data copy for `key` is held.
     pub fn has_old_copy(&self, key: BlockKey) -> bool {
-        self.index.contains_key((key, true))
+        self.index
+            .get(key.packed())
+            .is_some_and(|i| self.node(i).link != NIL)
     }
 
     /// Dirty data blocks, including ones currently destaging. O(1).
@@ -188,37 +264,63 @@ impl NvCache {
         self.dirty_len
     }
 
-    /// A data block turned dirty: it is destageable until pinned or cleaned.
-    fn mark_dirty(&mut self, key: BlockKey) {
-        self.dirty_len += 1;
-        self.collectable.push(key);
+    /// Data node `i` (key `key`) turned destageable: it stays so until
+    /// pinned or cleaned.
+    #[inline]
+    fn mark_collectable(&mut self, key: u64, i: u32) {
+        self.collectable.push((key, i));
     }
 
     // ------------------------------------------------------------------
-    // intrusive LRU list
+    // node slab and intrusive LRU list
     // ------------------------------------------------------------------
 
-    fn unlink(&mut self, i: usize) {
-        let (p, n) = (self.nodes[i].prev, self.nodes[i].next);
+    fn alloc(&mut self, key: u64, flags: u8) -> u32 {
+        let node = Node {
+            key,
+            prev: NIL,
+            next: NIL,
+            link: NIL,
+            flags,
+        };
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.node(i).link;
+            *self.node_mut(i) = node;
+            return i;
+        }
+        let i = self.nodes.len();
+        assert!(
+            i < NIL as usize,
+            "cache overflow exhausted the u32 node ids"
+        );
+        self.nodes.push(node);
+        i as u32
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node {
+            prev: p, next: n, ..
+        } = *self.node(i);
         if p != NIL {
-            self.nodes[p].next = n;
+            self.node_mut(p).next = n;
         } else {
             self.head = n;
         }
         if n != NIL {
-            self.nodes[n].prev = p;
+            self.node_mut(n).prev = p;
         } else {
             self.tail = p;
         }
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = NIL;
     }
 
-    fn push_mru(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
+    fn push_mru(&mut self, i: u32) {
+        let head = self.head;
+        let node = self.node_mut(i);
+        node.prev = NIL;
+        node.next = head;
+        if head != NIL {
+            self.node_mut(head).prev = i;
         }
         self.head = i;
         if self.tail == NIL {
@@ -226,34 +328,36 @@ impl NvCache {
         }
     }
 
-    fn touch(&mut self, i: usize) {
+    #[inline]
+    fn touch(&mut self, i: u32) {
         if self.head != i {
             self.unlink(i);
             self.push_mru(i);
         }
     }
 
-    fn alloc(&mut self, node: Node) -> usize {
-        if let Some(i) = self.free.pop() {
-            self.nodes[i] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
-    }
-
-    fn remove_entry(&mut self, i: usize) {
-        let key = (self.nodes[i].key, self.nodes[i].is_old);
-        if !self.nodes[i].is_old && self.nodes[i].dirty {
-            // Only evictions reach here with a dirty block (destaging blocks
-            // are pinned); its `collectable` entry goes stale and the next
-            // collect drops it.
-            self.dirty_len -= 1;
+    /// Drop node `i` (its old copy, if any, is the caller's business).
+    fn remove_entry(&mut self, i: u32) {
+        let node = *self.node(i);
+        if !node.has(OLD) {
+            if node.has(DIRTY) {
+                // Only evictions reach here with a dirty block (destaging
+                // blocks are pinned); its `collectable` entry goes stale and
+                // the next collect skips it.
+                self.dirty_len -= 1;
+            }
+            self.index.remove(node.key);
         }
         self.unlink(i);
-        self.index.remove(key);
-        self.free.push(i);
+        let free = self.free;
+        *self.node_mut(i) = Node {
+            key: 0,
+            prev: NIL,
+            next: NIL,
+            link: free,
+            flags: FREE,
+        };
+        self.free = i;
         self.len -= 1;
     }
 
@@ -264,31 +368,29 @@ impl NvCache {
             let mut cand = self.tail;
             // Skip in-flight destage blocks, and never evict the MRU entry —
             // it is the block the current operation just brought in.
-            while cand != NIL && (self.nodes[cand].destaging || cand == self.head) {
-                cand = self.nodes[cand].prev;
+            while cand != NIL && (self.node(cand).has(DESTAGING) || cand == self.head) {
+                cand = self.node(cand).prev;
             }
             if cand == NIL {
                 self.stats.overflow_events += 1;
                 return;
             }
-            if self.nodes[cand].is_old {
+            let node = *self.node(cand);
+            if node.has(OLD) {
                 // Dropping an old copy: the owner loses its saved pre-read.
-                let owner = (self.nodes[cand].key, false);
-                if let Some(oi) = self.index.get(owner) {
-                    self.nodes[oi].has_old = false;
-                }
+                self.node_mut(node.link).link = NIL;
                 self.remove_entry(cand);
-            } else if self.nodes[cand].dirty {
-                let key = self.nodes[cand].key;
-                let had_old = self.nodes[cand].has_old;
+            } else if node.has(DIRTY) {
+                let had_old = node.link != NIL;
                 if had_old {
-                    if let Some(oi) = self.index.get((key, true)) {
-                        self.remove_entry(oi);
-                    }
+                    self.remove_entry(node.link);
                 }
                 self.remove_entry(cand);
                 self.stats.dirty_evictions += 1;
-                evictions.push(DirtyEviction { key, had_old });
+                evictions.push(DirtyEviction {
+                    key: BlockKey::unpack(node.key),
+                    had_old,
+                });
             } else {
                 // Clean data.
                 self.remove_entry(cand);
@@ -296,33 +398,58 @@ impl NvCache {
         }
     }
 
-    fn insert_node(
-        &mut self,
-        key: BlockKey,
-        is_old: bool,
-        dirty: bool,
-        has_old: bool,
-        evictions: &mut Vec<DirtyEviction>,
-    ) {
-        let node = Node {
-            key,
-            is_old,
-            dirty,
-            destaging: false,
-            redirtied: false,
-            has_old,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = self.alloc(node);
-        let prev = self.index.insert((key, is_old), i);
-        debug_assert!(prev.is_none(), "inserting duplicate cache entry");
-        if dirty && !is_old {
-            self.mark_dirty(key);
-        }
+    /// Make node `i` the MRU entry, count it, and evict to capacity.
+    fn admit(&mut self, i: u32, evictions: &mut Vec<DirtyEviction>) {
         self.push_mru(i);
         self.len += 1;
         self.evict_to_capacity(evictions);
+    }
+
+    /// Insert an absent data block at the index vacancy `slot` its probe
+    /// returned.
+    fn insert_data(
+        &mut self,
+        slot: usize,
+        key: u64,
+        dirty: bool,
+        evictions: &mut Vec<DirtyEviction>,
+    ) {
+        let i = self.alloc(key, if dirty { DIRTY } else { 0 });
+        self.index.insert_vacant(slot, key, i);
+        if dirty {
+            self.dirty_len += 1;
+            self.mark_collectable(key, i);
+        }
+        self.admit(i, evictions);
+    }
+
+    /// Apply a write to present data node `i`.
+    fn write_hit(&mut self, i: u32, keep_old: bool, evictions: &mut Vec<DirtyEviction>) {
+        self.touch(i);
+        let node = *self.node(i);
+        if node.has(DESTAGING) {
+            self.node_mut(i).flags |= REDIRTIED;
+        } else if !node.has(DIRTY) {
+            self.node_mut(i).flags |= DIRTY;
+            self.dirty_len += 1;
+            self.mark_collectable(node.key, i);
+            if keep_old && node.link == NIL {
+                let old = self.alloc(node.key, OLD);
+                self.node_mut(old).link = i;
+                self.node_mut(i).link = old;
+                self.admit(old, evictions);
+            }
+        }
+        // Already-dirty blocks absorb the write in place.
+    }
+
+    /// Count a write as a hit (every block present) or a miss.
+    fn count_write(&mut self, hit: bool) {
+        if hit {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.write_misses += 1;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -348,10 +475,9 @@ impl NvCache {
     ) -> bool {
         let before = missing.len();
         for k in keys {
-            if let Some(i) = self.index.get((k, false)) {
-                self.touch(i);
-            } else {
-                missing.push(k);
+            match self.index.get(k.packed()) {
+                Some(i) => self.touch(i),
+                None => missing.push(k),
             }
         }
         let hit = missing.len() == before;
@@ -371,24 +497,14 @@ impl NvCache {
     }
 
     /// [`NvCache::insert_fetched`] into a caller-owned buffer: appends the
-    /// dirty evictions to `evictions`.
+    /// dirty evictions to `evictions`. One index probe finds the block or
+    /// the slot it goes into.
     pub fn fetch_into(&mut self, key: BlockKey, evictions: &mut Vec<DirtyEviction>) {
-        if let Some(i) = self.index.get((key, false)) {
-            self.touch(i);
-            return;
+        let key = key.packed();
+        match self.index.probe(key) {
+            Probe::Found(i) => self.touch(i),
+            Probe::Vacant(slot) => self.insert_data(slot, key, false, evictions),
         }
-        self.insert_node(key, false, false, false, evictions);
-    }
-
-    /// Count a write as a hit (every block present) or a miss.
-    fn count_write(&mut self, mut keys: impl Iterator<Item = BlockKey>) -> bool {
-        let all_present = keys.all(|k| self.index.contains_key((k, false)));
-        if all_present {
-            self.stats.write_hits += 1;
-        } else {
-            self.stats.write_misses += 1;
-        }
-        all_present
     }
 
     /// Apply a (possibly multiblock) write. A hit requires all blocks
@@ -407,33 +523,21 @@ impl NvCache {
 
     /// [`NvCache::write_access`] into a caller-owned buffer: appends the
     /// dirty evictions to `evictions` and returns whether the write hit.
+    ///
+    /// A single-block write counts and applies with one probe. A multiblock
+    /// write counts every block before applying any: an eviction during the
+    /// apply pass may drop a later block of the same request.
     pub fn write_into(
         &mut self,
         keys: impl Iterator<Item = BlockKey> + Clone,
         keep_old: bool,
         evictions: &mut Vec<DirtyEviction>,
     ) -> bool {
-        let all_present = self.count_write(keys.clone());
-        for k in keys {
-            if let Some(i) = self.index.get((k, false)) {
-                self.touch(i);
-                if self.nodes[i].destaging {
-                    self.nodes[i].redirtied = true;
-                } else if !self.nodes[i].dirty {
-                    self.nodes[i].dirty = true;
-                    self.mark_dirty(k);
-                    if keep_old && !self.index.contains_key((k, true)) {
-                        self.nodes[i].has_old = true;
-                        self.insert_node(k, true, false, false, evictions);
-                    }
-                }
-                // Already-dirty blocks absorb the write in place.
-            } else {
-                // Write miss: no old contents available for this block.
-                self.insert_node(k, false, true, false, evictions);
-            }
-        }
-        all_present
+        self.write_with(keys, evictions, |c, probe, key, evictions| match probe {
+            Probe::Found(i) => c.write_hit(i, keep_old, evictions),
+            // Write miss: no old contents available for this block.
+            Probe::Vacant(slot) => c.insert_data(slot, key, true, evictions),
+        })
     }
 
     /// Apply a write while the cache is in write-through mode (NVRAM battery
@@ -448,47 +552,76 @@ impl NvCache {
         keys: impl Iterator<Item = BlockKey> + Clone,
         evictions: &mut Vec<DirtyEviction>,
     ) -> bool {
-        let all_present = self.count_write(keys.clone());
-        for k in keys {
-            if let Some(i) = self.index.get((k, false)) {
-                self.touch(i);
-            } else {
-                self.insert_node(k, false, false, false, evictions);
+        self.write_with(keys, evictions, |c, probe, key, evictions| match probe {
+            Probe::Found(i) => c.touch(i),
+            Probe::Vacant(slot) => c.insert_data(slot, key, false, evictions),
+        })
+    }
+
+    /// The shared shape of both write paths: count the hit, then `apply`
+    /// each block's probe result in request order.
+    fn write_with(
+        &mut self,
+        keys: impl Iterator<Item = BlockKey> + Clone,
+        evictions: &mut Vec<DirtyEviction>,
+        apply: impl Fn(&mut NvCache, Probe, u64, &mut Vec<DirtyEviction>),
+    ) -> bool {
+        let mut rest = keys.clone();
+        let (Some(first), None) = (rest.next(), rest.next()) else {
+            let hit = keys.clone().all(|k| self.index.get(k.packed()).is_some());
+            self.count_write(hit);
+            for k in keys {
+                let key = k.packed();
+                let probe = self.index.probe(key);
+                apply(self, probe, key, evictions);
             }
-        }
-        all_present
+            return hit;
+        };
+        let key = first.packed();
+        let probe = self.index.probe(key);
+        let hit = matches!(probe, Probe::Found(_));
+        self.count_write(hit);
+        apply(self, probe, key, evictions);
+        hit
     }
 
     // ------------------------------------------------------------------
     // destage
     // ------------------------------------------------------------------
 
+    /// [`NvCache::collect_destage_into`], returning a fresh `Vec`.
+    pub fn collect_destage(&mut self) -> Vec<DestageGroup> {
+        let mut groups = Vec::new();
+        self.collect_destage_into(&mut groups);
+        groups
+    }
+
     /// Collect every dirty, not-yet-destaging block into runs of consecutive
     /// blocks per logical disk (split where old-copy availability changes),
-    /// marking them in-flight. Deterministic: the candidates are visited in
-    /// (disk, block) order — the same order a full-index scan would give —
-    /// but this is O(d log d) in the blocks dirtied since the last collect,
-    /// not O(cache).
-    pub fn collect_destage(&mut self) -> Vec<DestageGroup> {
-        let mut keys = std::mem::take(&mut self.collectable);
-        keys.sort_unstable();
-        keys.dedup();
-        let mut groups: Vec<DestageGroup> = Vec::new();
-        for &key in &keys {
-            // Stale entries: evicted, cleaned or already pinned since they
-            // were appended.
-            let Some(i) = self.index.get((key, false)) else {
-                continue;
-            };
-            let node = &mut self.nodes[i];
-            if !node.dirty || node.destaging {
+    /// marking them in-flight, and append the runs to `groups`.
+    /// Deterministic: the candidates are visited in (disk, block) order —
+    /// the same order a full-index scan would give — but this is
+    /// O(d log d) in the blocks dirtied since the last collect, not
+    /// O(cache).
+    pub fn collect_destage_into(&mut self, groups: &mut Vec<DestageGroup>) {
+        let mut cands = std::mem::take(&mut self.collectable);
+        cands.sort_unstable_by_key(|&(key, _)| key);
+        let first = groups.len();
+        for &(key, i) in &cands {
+            // Stale entries: the node was evicted (and maybe reused),
+            // cleaned or already pinned since the entry was appended. A
+            // live data node holding `key` is the one the index maps `key`
+            // to, so no probe is needed.
+            let node = self.node_mut(i);
+            if node.key != key || node.flags & (OLD | FREE | DESTAGING | DIRTY) != DIRTY {
                 continue;
             }
-            node.destaging = true;
-            let has_old = node.has_old;
-            if let Some(last) = groups.last_mut() {
-                if last.disk == key.disk
-                    && last.block + last.nblocks as u64 == key.block
+            node.flags |= DESTAGING;
+            let has_old = node.link != NIL;
+            let BlockKey { disk, block } = BlockKey::unpack(key);
+            if let Some(last) = groups[first..].last_mut() {
+                if last.disk == disk
+                    && last.block + last.nblocks as u64 == block
                     && last.has_old == has_old
                 {
                     last.nblocks += 1;
@@ -496,25 +629,27 @@ impl NvCache {
                 }
             }
             groups.push(DestageGroup {
-                disk: key.disk,
-                block: key.block,
+                disk,
+                block,
                 nblocks: 1,
                 has_old,
             });
         }
-        groups
+        cands.clear();
+        self.collectable = cands;
     }
 
-    /// Undo a [`NvCache::collect_destage`] pick that could not be issued
-    /// (e.g. the RAID4 spool could not reserve slots): blocks stay dirty and
-    /// become collectable again.
+    /// Undo a [`NvCache::collect_destage_into`] pick that could not be
+    /// issued (e.g. the RAID4 spool could not reserve slots): blocks stay
+    /// dirty and become collectable again.
     pub fn destage_abort(&mut self, group: &DestageGroup) {
-        for b in 0..group.nblocks as u64 {
-            let key = BlockKey::new(group.disk, group.block + b);
-            if let Some(i) = self.index.get((key, false)) {
-                self.nodes[i].destaging = false;
-                if self.nodes[i].dirty {
-                    self.collectable.push(key);
+        for k in BlockKey::range(group.disk, group.block, group.nblocks) {
+            let key = k.packed();
+            if let Some(i) = self.index.get(key) {
+                let node = self.node_mut(i);
+                node.flags &= !DESTAGING;
+                if node.has(DIRTY) {
+                    self.mark_collectable(key, i);
                 }
             }
         }
@@ -523,26 +658,26 @@ impl NvCache {
     /// A destage write reached the disk: blocks become clean (unless
     /// re-dirtied meanwhile) and their old copies are released.
     pub fn destage_complete(&mut self, group: &DestageGroup) {
-        for b in 0..group.nblocks as u64 {
-            let key = BlockKey::new(group.disk, group.block + b);
-            let Some(i) = self.index.get((key, false)) else {
+        for k in BlockKey::range(group.disk, group.block, group.nblocks) {
+            let key = k.packed();
+            let Some(i) = self.index.get(key) else {
                 continue; // evicted under overflow; nothing to settle
             };
-            let node = &mut self.nodes[i];
-            node.destaging = false;
-            if node.redirtied {
+            let node = self.node_mut(i);
+            node.flags &= !DESTAGING;
+            if node.has(REDIRTIED) {
                 // Newer contents arrived during the destage; stays dirty,
                 // but the old copy now matches what's on disk — drop it and
                 // accept the pre-read on the next destage.
-                node.redirtied = false;
-                self.collectable.push(key);
-            } else if node.dirty {
-                node.dirty = false;
+                node.flags &= !REDIRTIED;
+                self.mark_collectable(key, i);
+            } else if node.has(DIRTY) {
+                node.flags &= !DIRTY;
                 self.dirty_len -= 1;
             }
-            self.nodes[i].has_old = false;
-            if let Some(oi) = self.index.get((key, true)) {
-                self.remove_entry(oi);
+            let old = std::mem::replace(&mut self.node_mut(i).link, NIL);
+            if old != NIL {
+                self.remove_entry(old);
             }
         }
     }
@@ -551,22 +686,134 @@ impl NvCache {
     // parity-spool slot accounting (RAID4)
     // ------------------------------------------------------------------
 
-    /// Lend `n` slots to the parity spool, evicting as needed. Fails (and
-    /// lends nothing) only when the request exceeds total capacity.
-    pub fn reserve_slots(&mut self, n: usize) -> Option<Vec<DirtyEviction>> {
+    /// Lend `n` slots to the parity spool, evicting as needed and appending
+    /// the dirty evictions to `evictions`. Fails (and lends nothing) only
+    /// when the request exceeds total capacity.
+    pub fn reserve_slots_into(&mut self, n: usize, evictions: &mut Vec<DirtyEviction>) -> bool {
         if self.reserved + n > self.capacity {
-            return None;
+            return false;
         }
         self.reserved += n;
-        let mut evictions = Vec::new();
-        self.evict_to_capacity(&mut evictions);
-        Some(evictions)
+        self.evict_to_capacity(evictions);
+        true
     }
 
     /// Return slots from the parity spool.
     pub fn release_slots(&mut self, n: usize) {
         debug_assert!(n <= self.reserved);
         self.reserved -= n.min(self.reserved);
+    }
+
+    /// Check the layout's invariants, naming the first one broken:
+    /// * the index holds exactly the live data nodes, each under its key;
+    /// * `dirty_len` counts the dirty data nodes;
+    /// * old-copy and owner links are symmetric, only dirty data nodes
+    ///   have old copies, and [`NvCache::has_old_copy`] agrees;
+    /// * the LRU list visits exactly `len` live nodes, both directions
+    ///   agree, and every freed node is off the list and on the free list;
+    /// * every destageable block has a `collectable` entry;
+    /// * `reserved ≤ capacity`.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let live = |n: &Node| !n.has(FREE);
+        let data = |n: &Node| live(n) && !n.has(OLD);
+        let data_nodes = self.nodes.iter().filter(|n| data(n)).count();
+        if self.index.len() != data_nodes {
+            return Err(format!(
+                "index holds {} keys for {data_nodes} data nodes",
+                self.index.len()
+            ));
+        }
+        let dirty = self
+            .nodes
+            .iter()
+            .filter(|n| data(n) && n.has(DIRTY))
+            .count();
+        if self.dirty_len != dirty {
+            return Err(format!(
+                "dirty_len {} but {dirty} dirty nodes",
+                self.dirty_len
+            ));
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            let i = i as u32;
+            if !live(n) {
+                if n.prev != NIL || n.next != NIL || n.flags != FREE {
+                    return Err(format!("freed node {i} still linked or flagged"));
+                }
+                continue;
+            }
+            if n.has(OLD) {
+                let owner = self.nodes.get(n.link as usize);
+                if !owner.is_some_and(|o| data(o) && o.link == i && o.key == n.key) {
+                    return Err(format!("old copy {i} and its owner disagree"));
+                }
+                continue;
+            }
+            let key = BlockKey::unpack(n.key);
+            if self.index.get(n.key) != Some(i) {
+                return Err(format!("index does not map {key:?} to node {i}"));
+            }
+            if n.link != NIL {
+                let old = self.nodes.get(n.link as usize);
+                if !old.is_some_and(|o| live(o) && o.has(OLD) && o.link == i) {
+                    return Err(format!("node {i}'s old copy does not link back"));
+                }
+                if !n.has(DIRTY) {
+                    return Err(format!("clean node {i} keeps an old copy"));
+                }
+            }
+            if self.has_old_copy(key) != (n.link != NIL) {
+                return Err(format!("has_old_copy({key:?}) disagrees with the link"));
+            }
+            if n.flags & (DIRTY | DESTAGING) == DIRTY && !self.collectable.contains(&(n.key, i)) {
+                return Err(format!("destageable {key:?} has no collectable entry"));
+            }
+        }
+        let (mut seen, mut prev, mut i) = (0usize, NIL, self.head);
+        while i != NIL {
+            let n = self.nodes.get(i as usize).ok_or("LRU link out of range")?;
+            if !live(n) || n.prev != prev {
+                return Err(format!("LRU list broken at node {i}"));
+            }
+            seen += 1;
+            if seen > self.len {
+                return Err("LRU list longer than len".into());
+            }
+            (prev, i) = (i, n.next);
+        }
+        if seen != self.len || self.tail != prev {
+            return Err(format!("LRU walk saw {seen} nodes, len is {}", self.len));
+        }
+        if self.nodes.iter().filter(|n| live(n)).count() != self.len {
+            return Err("live nodes off the LRU list".into());
+        }
+        let (mut freed, mut f) = (0usize, self.free);
+        while f != NIL {
+            freed += 1;
+            if freed > self.nodes.len() {
+                return Err("free list cycles".into());
+            }
+            f = self
+                .nodes
+                .get(f as usize)
+                .ok_or("free link out of range")?
+                .link;
+        }
+        if freed + self.len != self.nodes.len() {
+            return Err(format!(
+                "{freed} free + {} live ≠ {} nodes",
+                self.len,
+                self.nodes.len()
+            ));
+        }
+        if self.reserved > self.capacity {
+            return Err(format!(
+                "reserved {} > capacity {}",
+                self.reserved, self.capacity
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -773,11 +1020,12 @@ mod tests {
         for b in 0..4 {
             c.insert_fetched(k(b));
         }
-        let ev = c.reserve_slots(2).unwrap();
+        let mut ev = Vec::new();
+        assert!(c.reserve_slots_into(2, &mut ev));
         assert!(ev.is_empty(), "clean blocks evicted silently");
         assert_eq!(c.len(), 2);
         assert_eq!(c.reserved(), 2);
-        assert!(c.reserve_slots(3).is_none(), "over total capacity");
+        assert!(!c.reserve_slots_into(3, &mut ev), "over total capacity");
         c.release_slots(2);
         assert_eq!(c.reserved(), 0);
     }
@@ -852,8 +1100,8 @@ mod tests {
                 .copied()
                 .filter(|&k| {
                     c.index
-                        .get((k, false))
-                        .is_some_and(|i| c.nodes[i].dirty && !c.nodes[i].destaging)
+                        .get(k.packed())
+                        .is_some_and(|i| c.node(i).flags & (DIRTY | DESTAGING) == DIRTY)
                 })
                 .collect()
         };
@@ -885,7 +1133,7 @@ mod tests {
                     c.write_through_into(keys, &mut scratch_evs);
                 }
                 9 => {
-                    if c.reserve_slots(n as usize * 4).is_some() {
+                    if c.reserve_slots_into(n as usize * 4, &mut scratch_evs) {
                         c.release_slots(n as usize * 4);
                     }
                 }
@@ -893,7 +1141,7 @@ mod tests {
                     let want = reference(&c);
                     let mut expected: Vec<DestageGroup> = Vec::new();
                     for &k in &want {
-                        let has_old = c.nodes[c.index.get((k, false)).unwrap()].has_old;
+                        let has_old = c.has_old_copy(k);
                         match expected.last_mut() {
                             Some(g)
                                 if g.disk == k.disk
@@ -928,11 +1176,8 @@ mod tests {
                     }
                 }
             }
-            for k in reference(&c) {
-                assert!(
-                    c.collectable.contains(&k),
-                    "step {step}: destageable {k:?} has no collectable entry"
-                );
+            if let Err(e) = c.check_invariants() {
+                panic!("step {step}: {e}");
             }
         }
         assert!(collects > 1_000, "the mix must exercise collect");

@@ -1,48 +1,60 @@
-//! Deterministic open-addressing index for cache blocks.
+//! Deterministic open-addressing index from data blocks to cache nodes.
 //!
 //! The cache's block index is the innermost lookup of every cached-run
-//! event, and `BTreeMap`'s O(log n) pointer-chasing made it the hot spot.
-//! This is a flat linear-probing table with a **fixed** hash function
-//! (splitmix64 finalizer — no `RandomState`, no ambient seed), so behavior
-//! is bit-reproducible run to run. It is never iterated: callers that need
+//! event. It is a flat linear-probing table of 16-byte slots, each a packed
+//! `(disk, block)` key ([`BlockKey::packed`]) and a `u32` node id, held at
+//! most half full so probe chains stay short. The hash is a **fixed**
+//! Fibonacci multiply (no `RandomState`, no ambient seed), so behavior is
+//! bit-reproducible run to run. It is never iterated: callers that need
 //! ordered traversal keep their own ordered side structures, so hash order
 //! can never leak into simulation results.
 //!
-//! Deletions use backward-shift compaction instead of tombstones, keeping
-//! probe chains short under the cache's constant insert/evict churn.
+//! The table doubles whenever an insert would take it past half full, so
+//! a cache sized far beyond its working set costs only what it holds. Deletions use
+//! backward-shift compaction instead of tombstones, keeping probe chains
+//! short under the cache's constant insert/evict churn.
+//!
+//! [`BlockKey::packed`]: crate::BlockKey::packed
 
-use crate::lru::BlockKey;
+/// Node id that marks an empty slot (and "no node" in the cache's links).
+pub(crate) const NIL: u32 = u32::MAX;
 
-/// Key: (block identity, is-old-copy flag) — the same composite the cache
-/// previously kept in its `BTreeMap`.
-type Key = (BlockKey, bool);
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u64,
+    /// [`NIL`] when the slot is empty.
+    id: u32,
+}
+
+const EMPTY: Slot = Slot { key: 0, id: NIL };
+
+/// Where a key lives, or where it would be inserted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The key is present, mapped to this node id.
+    Found(u32),
+    /// The key is absent; this is the empty slot ending its probe chain.
+    Vacant(usize),
+}
 
 #[derive(Clone, Debug)]
 pub(crate) struct BlockMap {
-    slots: Vec<Option<(Key, usize)>>,
-    /// `slots.len() - 1`; length is always a power of two.
+    slots: Vec<Slot>,
+    /// `64 − log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    /// `slots.len() - 1`; the length is always a power of two.
     mask: usize,
     len: usize,
 }
 
-#[inline]
-fn hash(key: Key) -> u64 {
-    let (BlockKey { disk, block }, old) = key;
-    let mut z = block
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((disk as u64) << 1)
-        .wrapping_add(old as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl BlockMap {
-    /// A table ready to hold `n` entries without growing.
+    /// A table that holds `n` keys at most half full before it first
+    /// grows.
     pub(crate) fn with_capacity(n: usize) -> BlockMap {
-        let slots = (n * 2).max(16).next_power_of_two();
+        let slots = (2 * n).max(64).next_power_of_two();
         BlockMap {
-            slots: vec![None; slots],
+            slots: vec![EMPTY; slots],
+            shift: 64 - slots.trailing_zeros(),
             mask: slots - 1,
             len: 0,
         }
@@ -54,89 +66,107 @@ impl BlockMap {
     }
 
     #[inline]
-    fn ideal(&self, key: Key) -> usize {
-        (hash(key) as usize) & self.mask
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Slot holding `key`, if present.
+    /// Find `key`, or the vacancy where it would go.
     #[inline]
-    fn find(&self, key: Key) -> Option<usize> {
-        let mut i = self.ideal(key);
+    pub(crate) fn probe(&self, key: u64) -> Probe {
+        let mut i = self.home(key);
         loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if *k == key => return Some(i),
-                Some(_) => i = (i + 1) & self.mask,
+            let s = self.slots[i];
+            if s.id == NIL {
+                return Probe::Vacant(i);
             }
+            if s.key == key {
+                return Probe::Found(s.id);
+            }
+            i = (i + 1) & self.mask;
         }
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: Key) -> Option<usize> {
-        self.find(key).map(|i| {
-            // simlint::allow(panic-policy): find() only returns occupied slots
-            self.slots[i].as_ref().expect("occupied slot").1
-        })
+    pub(crate) fn get(&self, key: u64) -> Option<u32> {
+        match self.probe(key) {
+            Probe::Found(id) => Some(id),
+            Probe::Vacant(_) => None,
+        }
     }
 
+    /// Insert an absent `key` at the vacancy [`BlockMap::probe`] just
+    /// returned for it (no second probe unless the table must grow first).
     #[inline]
-    pub(crate) fn contains_key(&self, key: Key) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// Insert or replace; returns the previous value if the key was present.
-    pub(crate) fn insert(&mut self, key: Key, value: usize) -> Option<usize> {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
+    pub(crate) fn insert_vacant(&mut self, slot: usize, key: u64, id: u32) {
+        let mut slot = slot;
+        if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
+            slot = match self.probe(key) {
+                Probe::Vacant(i) => i,
+                Probe::Found(_) => unreachable!("insert_vacant of a present key"),
+            };
         }
-        let mut i = self.ideal(key);
-        loop {
-            match &mut self.slots[i] {
-                None => {
-                    self.slots[i] = Some((key, value));
-                    self.len += 1;
-                    return None;
-                }
-                Some((k, v)) if *k == key => {
-                    return Some(std::mem::replace(v, value));
-                }
-                Some(_) => i = (i + 1) & self.mask,
-            }
+        debug_assert_eq!(self.slots[slot].id, NIL, "insert_vacant into a full slot");
+        self.slots[slot] = Slot { key, id };
+        self.len += 1;
+    }
+
+    /// Insert an absent `key`.
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, key: u64, id: u32) {
+        match self.probe(key) {
+            Probe::Vacant(slot) => self.insert_vacant(slot, key, id),
+            Probe::Found(_) => unreachable!("insert of a present key"),
         }
     }
 
     /// Remove `key`, compacting the probe chain behind it (backward-shift
-    /// deletion: every displaced entry moves at least as close to its ideal
+    /// deletion: every displaced entry moves at least as close to its home
     /// slot, so chains never accumulate tombstone rot).
-    pub(crate) fn remove(&mut self, key: Key) -> Option<usize> {
-        let mut hole = self.find(key)?;
-        // simlint::allow(panic-policy): find() only returns occupied slots
-        let (_, value) = self.slots[hole].take().expect("occupied slot");
+    pub(crate) fn remove(&mut self, key: u64) -> Option<u32> {
+        let mut hole = self.home(key);
+        loop {
+            let s = self.slots[hole];
+            if s.id == NIL {
+                return None;
+            }
+            if s.key == key {
+                break;
+            }
+            hole = (hole + 1) & self.mask;
+        }
+        let id = self.slots[hole].id;
+        self.slots[hole] = EMPTY;
         self.len -= 1;
         let mut probe = hole;
         loop {
             probe = (probe + 1) & self.mask;
-            let Some((k, _)) = self.slots[probe] else {
+            let s = self.slots[probe];
+            if s.id == NIL {
                 break;
-            };
-            let ideal = self.ideal(k);
+            }
+            let home = self.home(s.key);
             // Shift into the hole only if that does not move the entry to
-            // before its ideal slot (cyclic distance comparison).
-            if (probe.wrapping_sub(ideal) & self.mask) >= (probe.wrapping_sub(hole) & self.mask) {
-                self.slots[hole] = self.slots[probe].take();
+            // before its home slot (cyclic distance comparison).
+            if (probe.wrapping_sub(home) & self.mask) >= (probe.wrapping_sub(hole) & self.mask) {
+                self.slots[hole] = s;
+                self.slots[probe] = EMPTY;
                 hole = probe;
             }
         }
-        Some(value)
+        Some(id)
     }
 
     fn grow(&mut self) {
         let new_len = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![None; new_len]);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_len]);
         self.mask = new_len - 1;
-        self.len = 0;
-        for slot in old.into_iter().flatten() {
-            self.insert(slot.0, slot.1);
+        self.shift -= 1;
+        for s in old.into_iter().filter(|s| s.id != NIL) {
+            let Probe::Vacant(i) = self.probe(s.key) else {
+                unreachable!("duplicate key while rehashing");
+            };
+            self.slots[i] = s;
         }
     }
 }
@@ -145,38 +175,41 @@ impl BlockMap {
 mod tests {
     use super::*;
 
-    fn k(disk: u32, block: u64, old: bool) -> Key {
-        (BlockKey::new(disk, block), old)
+    #[test]
+    fn slots_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 
     #[test]
     fn insert_get_remove() {
         let mut m = BlockMap::with_capacity(4);
-        assert_eq!(m.insert(k(0, 1, false), 10), None);
-        assert_eq!(m.insert(k(0, 1, true), 11), None);
-        assert_eq!(m.get(k(0, 1, false)), Some(10));
-        assert_eq!(m.get(k(0, 1, true)), Some(11));
-        assert_eq!(m.get(k(0, 2, false)), None);
-        assert_eq!(m.insert(k(0, 1, false), 12), Some(10));
+        m.insert(1, 10);
+        m.insert(2, 11);
+        assert_eq!(m.get(1), Some(10));
+        assert_eq!(m.get(2), Some(11));
+        assert_eq!(m.get(3), None);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.remove(k(0, 1, false)), Some(12));
-        assert_eq!(m.remove(k(0, 1, false)), None);
-        assert_eq!(m.get(k(0, 1, true)), Some(11));
+        assert_eq!(m.remove(1), Some(10));
+        assert_eq!(m.remove(1), None);
+        assert_eq!(m.get(2), Some(11));
         assert_eq!(m.len(), 1);
+        let Probe::Vacant(slot) = m.probe(7) else {
+            panic!("7 is absent");
+        };
+        m.insert_vacant(slot, 7, 12);
+        assert_eq!(m.probe(7), Probe::Found(12));
     }
 
     #[test]
     fn grows_past_initial_capacity() {
-        let mut m = BlockMap::with_capacity(2);
+        let mut m = BlockMap::with_capacity(4);
         for b in 0..1000u64 {
-            m.insert(k((b % 7) as u32, b, b.is_multiple_of(3)), b as usize);
+            m.insert(((b % 7) << 40) | b, b as u32);
+            assert!(m.len() * 2 <= m.slots.len());
         }
         assert_eq!(m.len(), 1000);
         for b in 0..1000u64 {
-            assert_eq!(
-                m.get(k((b % 7) as u32, b, b.is_multiple_of(3))),
-                Some(b as usize)
-            );
+            assert_eq!(m.get(((b % 7) << 40) | b), Some(b as u32));
         }
     }
 
@@ -185,29 +218,31 @@ mod tests {
     #[test]
     fn differential_churn_against_btreemap() {
         use std::collections::BTreeMap;
-        let mut m = BlockMap::with_capacity(8);
-        let mut reference: BTreeMap<(u32, u64, bool), usize> = BTreeMap::new();
+        let mut m = BlockMap::with_capacity(4);
+        let mut reference: BTreeMap<u64, u32> = BTreeMap::new();
         let mut x = 0x1234_5678_u64;
-        for step in 0..20_000usize {
+        for step in 0..20_000u32 {
             // xorshift: deterministic operation mix.
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let key = k((x % 3) as u32, (x >> 8) % 512, x.is_multiple_of(2));
-            let rkey = ((x % 3) as u32, (x >> 8) % 512, x.is_multiple_of(2));
+            let key = ((x % 3) << 40) | ((x >> 8) % 512);
             if x % 5 < 3 {
-                assert_eq!(
-                    m.insert(key, step),
-                    reference.insert(rkey, step),
-                    "step {step}"
-                );
+                match m.probe(key) {
+                    Probe::Found(id) => assert_eq!(reference.get(&key), Some(&id)),
+                    Probe::Vacant(slot) => {
+                        assert!(!reference.contains_key(&key), "step {step}");
+                        m.insert_vacant(slot, key, step);
+                        reference.insert(key, step);
+                    }
+                }
             } else {
-                assert_eq!(m.remove(key), reference.remove(&rkey), "step {step}");
+                assert_eq!(m.remove(key), reference.remove(&key), "step {step}");
             }
             assert_eq!(m.len(), reference.len(), "step {step}");
         }
-        for (&(d, b, o), &v) in &reference {
-            assert_eq!(m.get(k(d, b, o)), Some(v));
+        for (&k, &v) in &reference {
+            assert_eq!(m.get(k), Some(v));
         }
     }
 }

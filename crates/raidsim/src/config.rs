@@ -133,6 +133,24 @@ impl Default for CacheConfig {
     }
 }
 
+impl CacheConfig {
+    /// The cache's capacity in blocks of `block_bytes`. An error names the
+    /// size when it holds fewer than 2 blocks or more than the NV cache's
+    /// `u32` node ids can address.
+    pub fn blocks(&self, block_bytes: u32) -> Result<usize, String> {
+        nvcache::checked_blocks_for_mb(self.size_mb, block_bytes as u64)
+            .and_then(|b| usize::try_from(b).ok())
+            .filter(|b| (2..=nvcache::NvCache::MAX_CAPACITY).contains(b))
+            .ok_or_else(|| {
+                format!(
+                    "cache size {} MB must hold between 2 and {} blocks of {block_bytes} bytes",
+                    self.size_mb,
+                    nvcache::NvCache::MAX_CAPACITY
+                )
+            })
+    }
+}
+
 /// Observability knobs. Everything here is **off by default** and — by
 /// design — changes *nothing* about simulated timing: enabling the sampler
 /// or the event log produces bit-identical response times (asserted by the
@@ -402,9 +420,7 @@ impl SimConfig {
             }
         }
         if let Some(c) = &self.cache {
-            if c.size_mb == 0 {
-                return Err("cache size must be ≥ 1 MB".into());
-            }
+            c.blocks(self.geometry.block_bytes)?;
             if c.destage_period_ms == 0 {
                 return Err("destage period must be ≥ 1 ms".into());
             }
@@ -559,6 +575,21 @@ mod tests {
             destage_period_ms: 1000,
         });
         assert!(cfg.validate().is_err());
+        // Sizes past the cache's u32 node ids, or past a u64 byte count,
+        // are rejected by name instead of aborting the allocator.
+        for size_mb in [1 << 24, u64::MAX] {
+            cfg.cache = Some(CacheConfig {
+                size_mb,
+                destage_period_ms: 1000,
+            });
+            let e = cfg.validate().unwrap_err();
+            assert!(e.contains(&size_mb.to_string()), "{e}");
+        }
+        cfg.cache = Some(CacheConfig {
+            size_mb: 1_000_000,
+            destage_period_ms: 1000,
+        });
+        assert!(cfg.validate().is_ok(), "a large cache is sized by use");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! the planner places tenants in declaration order.
 
 use super::config::{DiskClass, FleetConfig, TenantSpec, VirtualArraySpec};
-use crate::config::{DiskFailure, FaultConfig, Organization, ParityPlacement};
+use crate::config::{CacheConfig, DiskFailure, FaultConfig, Organization, ParityPlacement};
 use diskmodel::{DiskGeometry, SeekCurve};
 
 /// Default seed of a parsed spec ("FLEET" + 1, matching the demo fleet).
@@ -312,7 +312,19 @@ impl FleetConfig {
                     "class" => a.class = Some(value.to_string()),
                     "organization" => a.organization = Some(parse_org(n, value)?),
                     "data_disks" => a.data_disks = Some(parse_u32(n, key, value)?),
-                    "cache_mb" => a.cache_mb = Some(parse_u64(n, key, value)?),
+                    "cache_mb" => {
+                        let size_mb = parse_u64(n, key, value)?;
+                        // Classes keep the default block size, so the
+                        // cache's capacity is checked here, on its line.
+                        let cache = CacheConfig {
+                            size_mb,
+                            ..CacheConfig::default()
+                        };
+                        cache
+                            .blocks(DiskGeometry::default().block_bytes)
+                            .map_err(|e| err(n, &format!("[array {}] {e}", a.name)))?;
+                        a.cache_mb = Some(size_mb);
+                    }
                     "fail_disk_at_ms" => {
                         let (disk, at) = value
                             .split_once(':')
@@ -429,6 +441,12 @@ mod tests {
 
         let e = FleetConfig::parse_spec("[widget w]\nx = 1").unwrap_err();
         assert!(e.contains("unknown section kind"), "{e}");
+
+        // An NV cache too large for the cache's u32 node ids is refused on
+        // its own line, not by the allocator at run time.
+        let e =
+            FleetConfig::parse_spec("[array a]\nclass = t1\ncache_mb = 99999999999").unwrap_err();
+        assert!(e.contains("line 3") && e.contains("99999999999 MB"), "{e}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   update entirely (plain writes).
 //! * **Mirror** reads/writes simply use the surviving copy.
 
-use super::{OrgMap, Run, StripeMode, WritePlan};
+use super::{OrgMap, PlanBuf, Run, StripeMode};
 
 /// Spare-area target for block `block` of the failed disk under
 /// *distributed sparing*: instead of one hot spare absorbing the whole
@@ -39,15 +39,6 @@ pub(crate) fn distributed_spare_target(dpa: u32, failed: u32, block: u64) -> u32
     } else {
         i + 1
     }
-}
-
-/// How a read decomposes under a failed disk.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DegradedRead {
-    /// Runs on surviving disks, read normally.
-    pub direct: Vec<Run>,
-    /// Peer runs to read for XOR reconstruction of lost blocks.
-    pub reconstruct: Vec<Run>,
 }
 
 impl OrgMap {
@@ -106,108 +97,146 @@ impl OrgMap {
         }
     }
 
-    /// Decompose a read under a failed disk.
-    pub fn degraded_read_runs(&self, laddr: u64, n: u32, failed_disk: u32) -> DegradedRead {
-        let mut out = DegradedRead::default();
-        for run in self.read_runs(laddr, n) {
+    /// Decompose a read under a failed disk, appended to `runs`: the runs
+    /// on surviving disks, read normally, then from the returned index on
+    /// the peer runs to read for XOR reconstruction of lost blocks. The
+    /// healthy runs are planned first and cut out at the end.
+    pub fn degraded_read_runs_into(
+        &self,
+        laddr: u64,
+        n: u32,
+        failed_disk: u32,
+        runs: &mut Vec<Run>,
+    ) -> usize {
+        let healthy = runs.len();
+        self.read_runs_into(laddr, n, runs);
+        let planned = runs.len();
+        for j in healthy..planned {
+            let run = runs[j];
             if run.disk != failed_disk {
-                out.direct.push(run);
-                continue;
-            }
-            if let OrgMap::Mirror(_) = self {
+                runs.push(run);
+            } else if let OrgMap::Mirror(_) = self {
                 // Whole run redirects to the surviving copy.
-                out.direct.push(Run {
+                runs.push(Run {
                     disk: run.disk ^ 1,
                     ..run
                 });
-                continue;
-            }
-            for b in 0..run.nblocks as u64 {
-                for (disk, block) in self.peers_of(failed_disk, run.block + b) {
-                    super::push_merged(&mut out.reconstruct, disk, block);
-                }
             }
         }
-        out
-    }
-
-    /// Re-plan a write under a failed disk.
-    pub fn degraded_write_plan(&self, laddr: u64, n: u32, failed_disk: u32) -> WritePlan {
-        let plan = self.write_plan(laddr, n);
-        if let OrgMap::Mirror(_) | OrgMap::Base(_) = self {
-            // Mirror: drop the failed copy; Base has no redundancy to adapt.
-            let stripes = plan
-                .stripes
-                .into_iter()
-                .map(|mut s| {
-                    s.data.retain(|r| r.disk != failed_disk);
-                    s
-                })
-                .filter(|s| !s.data.is_empty())
-                .collect();
-            return WritePlan { stripes };
-        }
-
-        let mut stripes = Vec::with_capacity(plan.stripes.len());
-        for mut stripe in plan.stripes {
-            let parity_failed = stripe.parity.iter().any(|p| p.disk == failed_disk);
-            let data_failed: Vec<Run> = stripe
-                .data
-                .iter()
-                .copied()
-                .filter(|r| r.disk == failed_disk)
-                .collect();
-            stripe.data.retain(|r| r.disk != failed_disk);
-            stripe.extra_reads.retain(|r| r.disk != failed_disk);
-
-            if parity_failed {
-                // No parity to maintain: surviving data writes go out plain.
-                stripe.parity.clear();
-                stripe.extra_reads.clear();
-                stripe.mode = StripeMode::Full;
-                if !stripe.data.is_empty() {
-                    stripes.push(stripe);
+        let reconstruct = runs.len();
+        if !matches!(self, OrgMap::Mirror(_)) {
+            for j in healthy..planned {
+                let run = runs[j];
+                if run.disk != failed_disk {
+                    continue;
                 }
-                continue;
-            }
-            if data_failed.is_empty() {
-                stripes.push(stripe);
-                continue;
-            }
-            // A written unit is lost: compute parity from new data plus the
-            // current contents of every surviving block at the covered
-            // offsets that this request does not overwrite.
-            let mut extra = std::mem::take(&mut stripe.extra_reads);
-            for run in &data_failed {
                 for b in 0..run.nblocks as u64 {
-                    let block = run.block + b;
-                    for (disk, pblock) in self.peers_of(failed_disk, block) {
-                        let is_parity = stripe
-                            .parity
-                            .iter()
-                            .any(|p| p.disk == disk && covers(p, pblock));
-                        let written = stripe
-                            .data
-                            .iter()
-                            .any(|d| d.disk == disk && covers(d, pblock));
-                        let already = extra.iter().any(|e| e.disk == disk && covers(e, pblock));
-                        if !is_parity && !written && !already {
-                            super::push_merged(&mut extra, disk, pblock);
-                        }
+                    for (disk, block) in self.peers_of(failed_disk, run.block + b) {
+                        super::push_merged(runs, reconstruct, disk, block);
                     }
                 }
             }
-            // With no survivors left to read (the write covered the rest of
-            // the stripe) the parity is computable from new data alone.
-            stripe.mode = if extra.is_empty() {
-                StripeMode::Full
-            } else {
-                StripeMode::Reconstruct
-            };
-            stripe.extra_reads = extra;
-            stripes.push(stripe);
         }
-        WritePlan { stripes }
+        runs.drain(healthy..planned);
+        reconstruct - (planned - healthy)
+    }
+
+    /// Re-plan a write under a failed disk, appended to `plan`: the healthy
+    /// plan is made first, each of its stripes is re-planned after it, and
+    /// then the healthy plan is cut out.
+    pub fn degraded_write_plan_into(
+        &self,
+        laddr: u64,
+        n: u32,
+        failed_disk: u32,
+        plan: &mut PlanBuf,
+    ) {
+        let healthy = plan.mark();
+        self.write_plan_into(laddr, n, plan);
+        let planned = plan.mark();
+        // Mirror drops the failed copy; Base has no redundancy to adapt.
+        let has_parity = !matches!(self, OrgMap::Mirror(_) | OrgMap::Base(_));
+        for si in healthy.stripes..planned.stripes {
+            let old = plan.stripes[si];
+            let start = plan.runs.len();
+            for j in old.data() {
+                let r = plan.runs[j];
+                if r.disk != failed_disk {
+                    plan.runs.push(r);
+                }
+            }
+            let data_end = plan.runs.len();
+            let parity_failed = plan.runs[old.parity()]
+                .iter()
+                .any(|p| p.disk == failed_disk);
+            if !has_parity || parity_failed {
+                // No parity to maintain: surviving data writes go out plain.
+                let mode = if has_parity {
+                    StripeMode::Full
+                } else {
+                    old.mode
+                };
+                if data_end > start {
+                    plan.push_stripe(mode, start, data_end, data_end);
+                }
+                continue;
+            }
+            for j in old.extra_reads() {
+                let r = plan.runs[j];
+                if r.disk != failed_disk {
+                    plan.runs.push(r);
+                }
+            }
+            let mut mode = old.mode;
+            if plan.runs[old.data()].iter().any(|r| r.disk == failed_disk) {
+                // A written unit is lost: compute parity from new data plus
+                // the current contents of every surviving block at the
+                // covered offsets that this request does not overwrite.
+                for j in old.data() {
+                    let run = plan.runs[j];
+                    if run.disk != failed_disk {
+                        continue;
+                    }
+                    for b in 0..run.nblocks as u64 {
+                        for (disk, pblock) in self.peers_of(failed_disk, run.block + b) {
+                            let hit = |runs: &[Run]| {
+                                runs.iter().any(|r| r.disk == disk && covers(r, pblock))
+                            };
+                            let is_parity = hit(&plan.runs[old.parity()]);
+                            let written = hit(&plan.runs[start..data_end]);
+                            let already = hit(&plan.runs[data_end..]);
+                            if !is_parity && !written && !already {
+                                super::push_merged(&mut plan.runs, data_end, disk, pblock);
+                            }
+                        }
+                    }
+                }
+                // With no survivors left to read (the write covered the rest
+                // of the stripe) the parity is computable from new data
+                // alone.
+                mode = if plan.runs.len() == data_end {
+                    StripeMode::Full
+                } else {
+                    StripeMode::Reconstruct
+                };
+            }
+            let parity = plan.runs.len();
+            for j in old.parity() {
+                let p = plan.runs[j];
+                plan.runs.push(p);
+            }
+            plan.push_stripe(mode, start, data_end, parity);
+        }
+        // Cut the healthy plan out from under the re-planned stripes.
+        let cut = (planned.runs - healthy.runs) as u32;
+        plan.runs.drain(healthy.runs..planned.runs);
+        plan.stripes.drain(healthy.stripes..planned.stripes);
+        for s in &mut plan.stripes[healthy.stripes..] {
+            s.start -= cut;
+            s.extra -= cut;
+            s.parity -= cut;
+            s.end -= cut;
+        }
     }
 }
 
@@ -220,6 +249,31 @@ fn covers(run: &Run, block: u64) -> bool {
 mod tests {
     use super::*;
     use crate::config::{Organization, ParityPlacement};
+    use crate::mapping::WritePlan;
+
+    /// How a read decomposes under a failed disk.
+    struct DegradedRead {
+        direct: Vec<Run>,
+        reconstruct: Vec<Run>,
+    }
+
+    impl OrgMap {
+        fn degraded_read_runs(&self, laddr: u64, n: u32, failed_disk: u32) -> DegradedRead {
+            let mut direct = Vec::new();
+            let at = self.degraded_read_runs_into(laddr, n, failed_disk, &mut direct);
+            let reconstruct = direct.split_off(at);
+            DegradedRead {
+                direct,
+                reconstruct,
+            }
+        }
+
+        fn degraded_write_plan(&self, laddr: u64, n: u32, failed_disk: u32) -> WritePlan {
+            let mut plan = PlanBuf::default();
+            self.degraded_write_plan_into(laddr, n, failed_disk, &mut plan);
+            plan.to_write_plan()
+        }
+    }
 
     fn raid5() -> OrgMap {
         OrgMap::new(Organization::Raid5 { striping_unit: 1 }, 4, 240)

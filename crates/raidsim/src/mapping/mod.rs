@@ -4,9 +4,11 @@
 //! `blocks_per_disk` 4 KB blocks. Logical disks are grouped `N` per array;
 //! within an array a request is a run of consecutive blocks at a *logical
 //! array address* `laddr ∈ [0, N·blocks_per_disk)`. Each mapping turns such
-//! runs into per-physical-disk runs, and for writes produces a
-//! [`WritePlan`] describing the data, extra-read, and parity accesses each
-//! touched stripe needs.
+//! runs into per-physical-disk runs, and for writes produces a plan of the
+//! data, extra-read, and parity accesses each touched stripe needs. Both
+//! are appended to buffers the caller owns and reuses (`read_runs_into`,
+//! `write_plan_into` into a [`PlanBuf`]); `read_runs` and `write_plan`
+//! return owned copies for callers outside the simulator.
 
 mod degraded;
 mod parstrip;
@@ -14,12 +16,13 @@ mod raid;
 mod simple;
 
 pub(crate) use degraded::distributed_spare_target;
-pub use degraded::DegradedRead;
 pub use parstrip::ParStripMap;
 pub use raid::RaidMap;
 pub use simple::{BaseMap, MirrorMap};
 
 use crate::config::Organization;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// A run of consecutive physical blocks on one disk of the array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +49,8 @@ pub enum StripeMode {
     Rmw,
 }
 
-/// One stripe's (or parity row group's) share of a write request.
+/// One stripe's (or parity row group's) share of a write request, as an
+/// owned value (see [`PlanBuf`] for the flat form the simulator plans into).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StripeWrite {
     pub mode: StripeMode,
@@ -58,19 +62,118 @@ pub struct StripeWrite {
     pub parity: Vec<Run>,
 }
 
-/// Decomposition of a whole write request.
+/// Decomposition of a whole write request, as an owned value.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WritePlan {
     pub stripes: Vec<StripeWrite>,
 }
 
-/// Append `(disk, block)` to `runs`, merging with the last run when
-/// physically consecutive on the same disk.
-pub(crate) fn push_merged(runs: &mut Vec<Run>, disk: u32, block: u64) {
-    if let Some(last) = runs.last_mut() {
-        if last.disk == disk && last.block + last.nblocks as u64 == block {
-            last.nblocks += 1;
-            return;
+/// One stripe's share of a flat write plan: its mode, and where its runs
+/// lie in the plan's run buffer — data, then extra reads, then parity,
+/// back to back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StripeSpan {
+    pub mode: StripeMode,
+    start: u32,
+    extra: u32,
+    parity: u32,
+    end: u32,
+}
+
+impl StripeSpan {
+    /// New-data runs (RMW runs pre-read old data in `Rmw` mode).
+    pub fn data(&self) -> Range<usize> {
+        self.start as usize..self.extra as usize
+    }
+    /// `Reconstruct` only: other units' blocks to read first.
+    pub fn extra_reads(&self) -> Range<usize> {
+        self.extra as usize..self.parity as usize
+    }
+    /// Parity runs to update.
+    pub fn parity(&self) -> Range<usize> {
+        self.parity as usize..self.end as usize
+    }
+}
+
+/// How far a [`PlanBuf`] was filled: a caller marks it before planning and
+/// truncates back to the mark when done with the plan.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanMark {
+    pub runs: usize,
+    pub stripes: usize,
+}
+
+/// Write plans in two flat buffers a caller owns and reuses: every
+/// stripe's runs in `runs`, and per stripe a [`StripeSpan`] into them.
+/// Planners only append, so one buffer can hold a plan made while another
+/// is still being carried out, as long as each caller truncates back to
+/// its own mark.
+#[derive(Clone, Debug, Default)]
+pub struct PlanBuf {
+    pub runs: Vec<Run>,
+    pub stripes: Vec<StripeSpan>,
+}
+
+impl PlanBuf {
+    pub fn mark(&self) -> PlanMark {
+        PlanMark {
+            runs: self.runs.len(),
+            stripes: self.stripes.len(),
+        }
+    }
+
+    pub fn truncate(&mut self, mark: PlanMark) {
+        self.runs.truncate(mark.runs);
+        self.stripes.truncate(mark.stripes);
+    }
+
+    /// Close a stripe whose data runs start at `start`, extra reads at
+    /// `extra` and parity runs at `parity`; its parity runs end here.
+    pub(crate) fn push_stripe(
+        &mut self,
+        mode: StripeMode,
+        start: usize,
+        extra: usize,
+        parity: usize,
+    ) {
+        let end = self.runs.len();
+        debug_assert!(start <= extra && extra <= parity && parity <= end);
+        self.stripes.push(StripeSpan {
+            mode,
+            start: start as u32,
+            extra: extra as u32,
+            parity: parity as u32,
+            end: end as u32,
+        });
+    }
+
+    /// The buffer's plan as an owned [`WritePlan`].
+    pub fn to_write_plan(&self) -> WritePlan {
+        WritePlan {
+            stripes: self
+                .stripes
+                .iter()
+                .map(|s| StripeWrite {
+                    mode: s.mode,
+                    data: self.runs[s.data()].to_vec(),
+                    extra_reads: self.runs[s.extra_reads()].to_vec(),
+                    parity: self.runs[s.parity()].to_vec(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Append `(disk, block)` to `runs`, merging with the last run when it
+/// belongs to the section that starts at `from` and is physically
+/// consecutive on the same disk.
+pub(crate) fn push_merged(runs: &mut Vec<Run>, from: usize, disk: u32, block: u64) {
+    if runs.len() > from {
+        if let Some(last) = runs.last_mut() {
+            if last.disk == disk && last.block + last.nblocks as u64 == block {
+                last.nblocks += 1;
+                return;
+            }
         }
     }
     runs.push(Run {
@@ -121,42 +224,60 @@ impl OrgMap {
     /// Physical runs a read of `[laddr, laddr + n)` touches (primary copy
     /// for mirrors; the simulator picks the replica per run).
     pub fn read_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
+        // Most reads map to one run, a striped one to a few.
+        let mut runs = Vec::with_capacity(2);
+        self.read_runs_into(laddr, n, &mut runs);
+        runs
+    }
+
+    /// [`OrgMap::read_runs`], appended to `runs`.
+    pub fn read_runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
         match self {
-            OrgMap::Base(m) => m.runs(laddr, n),
-            OrgMap::Mirror(m) => m.runs(laddr, n),
-            OrgMap::Raid(m) => m.data_runs(laddr, n),
-            OrgMap::ParStrip(m) => m.data_runs(laddr, n),
+            OrgMap::Base(m) => m.runs_into(laddr, n, runs),
+            OrgMap::Mirror(m) => m.runs_into(laddr, n, runs),
+            OrgMap::Raid(m) => m.data_runs_into(laddr, n, runs),
+            OrgMap::ParStrip(m) => m.data_runs_into(laddr, n, runs),
         }
     }
 
     /// Decompose a write of `[laddr, laddr + n)`.
     pub fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
+        thread_local! {
+            /// The wrapper plans into a reused buffer, so it allocates only
+            /// the owned plan it returns.
+            static PLAN: RefCell<PlanBuf> = RefCell::new(PlanBuf::default());
+        }
+        PLAN.with_borrow_mut(|plan| {
+            plan.truncate(PlanMark::default());
+            self.write_plan_into(laddr, n, plan);
+            plan.to_write_plan()
+        })
+    }
+
+    /// [`OrgMap::write_plan`], appended to `plan`.
+    pub fn write_plan_into(&self, laddr: u64, n: u32, plan: &mut PlanBuf) {
         match self {
-            OrgMap::Base(m) => WritePlan {
-                stripes: vec![StripeWrite {
-                    mode: StripeMode::Full, // plain writes: no parity work
-                    data: m.runs(laddr, n),
-                    extra_reads: Vec::new(),
-                    parity: Vec::new(),
-                }],
-            },
+            OrgMap::Base(m) => {
+                // Plain writes: no parity work.
+                let start = plan.runs.len();
+                m.runs_into(laddr, n, &mut plan.runs);
+                let end = plan.runs.len();
+                plan.push_stripe(StripeMode::Full, start, end, end);
+            }
             OrgMap::Mirror(m) => {
                 // Both copies are written; the simulator completes the
                 // request at the max of the two.
-                let primary = m.runs(laddr, n);
-                let mut data = primary.clone();
-                data.extend(primary.iter().map(|r| m.mirror_of(*r)));
-                WritePlan {
-                    stripes: vec![StripeWrite {
-                        mode: StripeMode::Full,
-                        data,
-                        extra_reads: Vec::new(),
-                        parity: Vec::new(),
-                    }],
+                let start = plan.runs.len();
+                m.runs_into(laddr, n, &mut plan.runs);
+                for i in start..plan.runs.len() {
+                    let copy = m.mirror_of(plan.runs[i]);
+                    plan.runs.push(copy);
                 }
+                let end = plan.runs.len();
+                plan.push_stripe(StripeMode::Full, start, end, end);
             }
-            OrgMap::Raid(m) => m.write_plan(laddr, n),
-            OrgMap::ParStrip(m) => m.write_plan(laddr, n),
+            OrgMap::Raid(m) => m.write_plan_into(laddr, n, plan),
+            OrgMap::ParStrip(m) => m.write_plan_into(laddr, n, plan),
         }
     }
 
@@ -188,10 +309,11 @@ mod tests {
     #[test]
     fn push_merged_coalesces_consecutive() {
         let mut runs = Vec::new();
-        push_merged(&mut runs, 0, 10);
-        push_merged(&mut runs, 0, 11);
-        push_merged(&mut runs, 0, 13); // gap
-        push_merged(&mut runs, 1, 14); // other disk
+        push_merged(&mut runs, 0, 0, 10);
+        push_merged(&mut runs, 0, 0, 11);
+        push_merged(&mut runs, 0, 0, 13); // gap
+        push_merged(&mut runs, 0, 1, 14); // other disk
+        push_merged(&mut runs, 3, 1, 15); // consecutive, but a new section
         assert_eq!(
             runs,
             vec![
@@ -208,6 +330,11 @@ mod tests {
                 Run {
                     disk: 1,
                     block: 14,
+                    nblocks: 1
+                },
+                Run {
+                    disk: 1,
+                    block: 15,
                     nblocks: 1
                 },
             ]

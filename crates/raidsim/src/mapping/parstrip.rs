@@ -1,6 +1,6 @@
 //! Parity Striping mapping (Gray, Horst & Walker; paper Section 2.2).
 
-use super::{push_merged, Run, StripeMode, StripeWrite, WritePlan};
+use super::{push_merged, PlanBuf, Run, StripeMode};
 use crate::config::ParityPlacement;
 
 /// Parity striping over `n + 1` disks.
@@ -162,23 +162,22 @@ impl ParStripMap {
 
     /// Physical data runs of `[laddr, laddr + n)` (addresses past the
     /// usable capacity wrap).
-    pub fn data_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
+    pub fn data_runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
         let cap = self.logical_capacity();
-        let mut runs = Vec::with_capacity(1);
+        let from = runs.len();
         for a in laddr..laddr + n as u64 {
             let (disk, block) = self.locate(a % cap);
-            push_merged(&mut runs, disk, block);
+            push_merged(runs, from, disk, block);
         }
-        runs
     }
 
     /// Writes in parity striping are always read-modify-write: a "row"
     /// (same within-area offset across the group's member areas) is never
     /// fully covered by a realistic request, so the full/reconstruct fast
-    /// paths of striped arrays do not apply.
-    pub fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
+    /// paths of striped arrays do not apply. Appends one stripe per coupled
+    /// (data run, parity run) pair to `plan`.
+    pub fn write_plan_into(&self, laddr: u64, n: u32, plan: &mut PlanBuf) {
         let cap = self.logical_capacity();
-        let mut stripes: Vec<StripeWrite> = Vec::with_capacity(1);
         // Build coupled (data run, parity run) pairs block by block; a new
         // stripe starts whenever either side stops being contiguous. Note
         // two adjacent data areas of one disk are physically contiguous but
@@ -199,8 +198,7 @@ impl ParStripMap {
                     p.nblocks += 1;
                     continue;
                 }
-                let (d, p) = (*d, *p);
-                stripes.push(Self::rmw_stripe(d, p));
+                Self::push_rmw_stripe(*d, *p, plan);
             }
             cur = Some((
                 Run {
@@ -216,25 +214,31 @@ impl ParStripMap {
             ));
         }
         if let Some((d, p)) = cur {
-            stripes.push(Self::rmw_stripe(d, p));
+            Self::push_rmw_stripe(d, p, plan);
         }
-        WritePlan { stripes }
     }
 
-    fn rmw_stripe(data: Run, parity: Run) -> StripeWrite {
-        StripeWrite {
-            mode: StripeMode::Rmw,
-            data: vec![data],
-            extra_reads: Vec::new(),
-            parity: vec![parity],
-        }
+    fn push_rmw_stripe(data: Run, parity: Run, plan: &mut PlanBuf) {
+        let start = plan.runs.len();
+        plan.runs.push(data);
+        plan.runs.push(parity);
+        plan.push_stripe(StripeMode::Rmw, start, start + 1, start + 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::WritePlan;
     use proptest::prelude::*;
+
+    impl ParStripMap {
+        fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
+            let mut plan = PlanBuf::default();
+            self.write_plan_into(laddr, n, &mut plan);
+            plan.to_write_plan()
+        }
+    }
 
     fn map(n: u32, placement: ParityPlacement) -> ParStripMap {
         // 1100 blocks / (n+1) slots.

@@ -1,6 +1,6 @@
 //! RAID5 (rotated parity) and RAID4 (dedicated parity disk) mapping.
 
-use super::{push_merged, Run, StripeMode, StripeWrite, WritePlan};
+use super::{push_merged, PlanBuf, Run, StripeMode};
 
 /// Striped mapping over `n + 1` disks with parity either rotated
 /// (left-symmetric RAID5) or pinned to disk `n` (RAID4).
@@ -76,36 +76,34 @@ impl RaidMap {
         (self.data_disk(s, u), s * self.su as u64 + off)
     }
 
-    /// Physical data runs of `[laddr, laddr + n)`.
-    pub fn data_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
-        let mut runs = Vec::with_capacity(2);
+    /// Append the physical data runs of `[laddr, laddr + n)` to `runs`.
+    pub fn data_runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
+        let from = runs.len();
         for a in laddr..laddr + n as u64 {
             let (disk, block) = self.locate(a);
-            push_merged(&mut runs, disk, block);
+            push_merged(runs, from, disk, block);
         }
-        runs
     }
 
     /// Decompose a write into per-stripe work (Section 2.1's small-write
-    /// rule plus the full-stripe and reconstruct fast paths of Section 3.3).
-    pub fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
+    /// rule plus the full-stripe and reconstruct fast paths of Section 3.3),
+    /// appended to `plan`.
+    pub fn write_plan_into(&self, laddr: u64, n: u32, plan: &mut PlanBuf) {
         let sdb = self.stripe_data_blocks();
-        let mut plan = WritePlan::default();
         let end = laddr + n as u64;
         let mut a = laddr;
         while a < end {
             let s = a / sdb;
             let stripe_end = (s + 1) * sdb;
             let chunk_end = end.min(stripe_end);
-            plan.stripes.push(self.stripe_write(s, a, chunk_end));
+            self.stripe_write_into(s, a, chunk_end, plan);
             a = chunk_end;
         }
-        plan
     }
 
-    /// Build the stripe-`s` share covering logical `[from, to)` (within the
+    /// Plan the stripe-`s` share covering logical `[from, to)` (within the
     /// stripe).
-    fn stripe_write(&self, s: u64, from: u64, to: u64) -> StripeWrite {
+    fn stripe_write_into(&self, s: u64, from: u64, to: u64, plan: &mut PlanBuf) {
         let sdb = self.stripe_data_blocks();
         let su = self.su as u64;
         let covered = to - from;
@@ -116,67 +114,69 @@ impl RaidMap {
         } else {
             StripeMode::Rmw
         };
+        // The covered stripe offsets are the contiguous `[w0, w0 + covered)`;
+        // an offset within the striping unit is parity-affected when any
+        // covered unit touches it.
+        let w0 = from % sdb;
+        let off_covered = |off: u64| covered >= su || (off + su - w0 % su) % su < covered;
 
-        let mut data = Vec::with_capacity(2);
-        // Offsets within the striping unit touched by any covered unit.
-        let mut off_covered = vec![false; self.su as usize];
-        // (unit, off) coverage for reconstruct's complement computation.
-        let mut unit_off = vec![false; (self.n as usize) * self.su as usize];
+        let start = plan.runs.len();
         for a in from..to {
             let (disk, block) = self.locate(a);
-            push_merged(&mut data, disk, block);
-            let w = a % sdb;
-            let u = (w / su) as usize;
-            let off = (w % su) as usize;
-            off_covered[off] = true;
-            unit_off[u * self.su as usize + off] = true;
+            push_merged(&mut plan.runs, start, disk, block);
         }
 
-        let pdisk = self.parity_disk(s);
-        let mut parity = Vec::with_capacity(1);
-        match mode {
-            StripeMode::Full => {
-                parity.push(Run {
-                    disk: pdisk,
-                    block: s * su,
-                    nblocks: self.su,
-                });
-            }
-            _ => {
-                for (off, &cov) in off_covered.iter().enumerate() {
-                    if cov {
-                        push_merged(&mut parity, pdisk, s * su + off as u64);
-                    }
-                }
-            }
-        }
-
-        let mut extra_reads = Vec::new();
+        let extra = plan.runs.len();
         if mode == StripeMode::Reconstruct {
             // Read every uncovered block at a parity-affected offset.
             for u in 0..self.n {
                 let disk = self.data_disk(s, u);
-                for (off, &cov) in off_covered.iter().enumerate() {
-                    if cov && !unit_off[u as usize * self.su as usize + off] {
-                        push_merged(&mut extra_reads, disk, s * su + off as u64);
+                for off in 0..su {
+                    let w = u as u64 * su + off;
+                    if off_covered(off) && !(w0..w0 + covered).contains(&w) {
+                        push_merged(&mut plan.runs, extra, disk, s * su + off);
                     }
                 }
             }
         }
 
-        StripeWrite {
-            mode,
-            data,
-            extra_reads,
-            parity,
+        let parity = plan.runs.len();
+        let pdisk = self.parity_disk(s);
+        match mode {
+            StripeMode::Full => plan.runs.push(Run {
+                disk: pdisk,
+                block: s * su,
+                nblocks: self.su,
+            }),
+            _ => {
+                for off in (0..su).filter(|&off| off_covered(off)) {
+                    push_merged(&mut plan.runs, parity, pdisk, s * su + off);
+                }
+            }
         }
+        plan.push_stripe(mode, start, extra, parity);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::WritePlan;
     use proptest::prelude::*;
+
+    impl RaidMap {
+        fn data_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
+            let mut runs = Vec::new();
+            self.data_runs_into(laddr, n, &mut runs);
+            runs
+        }
+
+        fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
+            let mut plan = PlanBuf::default();
+            self.write_plan_into(laddr, n, &mut plan);
+            plan.to_write_plan()
+        }
+    }
 
     fn raid5(n: u32, su: u32) -> RaidMap {
         RaidMap::new(n, 240, su, true)

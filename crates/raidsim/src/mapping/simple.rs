@@ -14,15 +14,15 @@ impl BaseMap {
         BaseMap { n, blocks_per_disk }
     }
 
-    /// Physical runs of `[laddr, laddr + n)` (split at disk boundaries).
-    pub fn runs(&self, laddr: u64, n: u32) -> Vec<Run> {
-        let mut runs = Vec::with_capacity(1);
+    /// Append the physical runs of `[laddr, laddr + n)` to `runs` (split
+    /// at disk boundaries).
+    pub fn runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
+        let from = runs.len();
         for a in laddr..laddr + n as u64 {
             let disk = (a / self.blocks_per_disk) as u32;
             debug_assert!(disk < self.n);
-            push_merged(&mut runs, disk, a % self.blocks_per_disk);
+            push_merged(runs, from, disk, a % self.blocks_per_disk);
         }
-        runs
     }
 }
 
@@ -39,15 +39,14 @@ impl MirrorMap {
         MirrorMap { n, blocks_per_disk }
     }
 
-    /// Primary-copy runs.
-    pub fn runs(&self, laddr: u64, n: u32) -> Vec<Run> {
-        let mut runs = Vec::with_capacity(1);
+    /// Append the primary-copy runs of `[laddr, laddr + n)` to `runs`.
+    pub fn runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
+        let from = runs.len();
         for a in laddr..laddr + n as u64 {
             let disk = 2 * (a / self.blocks_per_disk) as u32;
             debug_assert!(disk < 2 * self.n);
-            push_merged(&mut runs, disk, a % self.blocks_per_disk);
+            push_merged(runs, from, disk, a % self.blocks_per_disk);
         }
-        runs
     }
 
     /// The other member of the pair at the same offset.
@@ -62,6 +61,22 @@ impl MirrorMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BaseMap {
+        fn runs(&self, laddr: u64, n: u32) -> Vec<Run> {
+            let mut runs = Vec::new();
+            self.runs_into(laddr, n, &mut runs);
+            runs
+        }
+    }
+
+    impl MirrorMap {
+        fn runs(&self, laddr: u64, n: u32) -> Vec<Run> {
+            let mut runs = Vec::new();
+            self.runs_into(laddr, n, &mut runs);
+            runs
+        }
+    }
 
     #[test]
     fn base_identity_mapping() {

@@ -119,41 +119,33 @@ impl<'t> Simulator<'t> {
     }
 
     fn noncached_read(&mut self, req: u32, array: u32, laddr: u64, n: u32) {
-        if let Some(f) = self.failed_in(array) {
-            let degraded = self.planner.degraded_read_runs(laddr, n, f);
-            if self.dataloss[array as usize] && !degraded.reconstruct.is_empty() {
-                // The reconstruction sources died with the second failure:
-                // the blocks under the failed slot are gone. Count the lost
-                // read and serve only the surviving runs — the request
-                // completes degenerately (classified in the data-loss
-                // window), it does not wedge.
-                if let Some(fs) = self.fault.as_mut() {
-                    fs.lost_reads += 1;
-                }
-                for run in degraded.direct {
-                    let run = self.choose_replica(array, run);
-                    self.read_op(req, array, run, OpRole::HostRead);
-                }
-                return;
+        let runs = self.plan.runs.len();
+        let reconstruct = self.plan_read(array, laddr, n);
+        let end = self.plan.runs.len();
+        // The reconstruction sources died with the second failure: the
+        // blocks under the failed slot are gone. Count the lost read and
+        // serve only the surviving runs — the request completes
+        // degenerately (classified in the data-loss window), it does not
+        // wedge.
+        let lost = reconstruct < end && self.dataloss[array as usize];
+        if lost {
+            if let Some(fs) = self.fault.as_mut() {
+                fs.lost_reads += 1;
             }
-            for run in degraded.direct {
-                let run = self.choose_replica(array, run);
-                self.read_op(req, array, run, OpRole::HostRead);
-            }
-            if !degraded.reconstruct.is_empty() {
-                // The rebuilt blocks go to the host once every peer read
-                // lands.
-                self.reqs.get_mut(req).tail_channel_bytes = n as u64 * self.block_bytes;
-                for run in degraded.reconstruct {
-                    self.read_op(req, array, run, OpRole::ReconstructRead);
-                }
-            }
-            return;
         }
-        for run in self.planner.read_runs(laddr, n) {
-            let run = self.choose_replica(array, run);
+        for j in runs..reconstruct {
+            let run = self.choose_replica(array, self.plan.runs[j]);
             self.read_op(req, array, run, OpRole::HostRead);
         }
+        if reconstruct < end && !lost {
+            // The rebuilt blocks go to the host once every peer read lands.
+            self.reqs.get_mut(req).tail_channel_bytes = n as u64 * self.block_bytes;
+            for j in reconstruct..end {
+                let run = self.plan.runs[j];
+                self.read_op(req, array, run, OpRole::ReconstructRead);
+            }
+        }
+        self.plan.runs.truncate(runs);
     }
 
     /// Enqueue a normal-band read on behalf of a request.
@@ -184,7 +176,8 @@ impl<'t> Simulator<'t> {
         let now = self.engine.now();
         let tr = self.channels[array as usize].request(now, n as u64 * self.block_bytes);
         self.reqs.get_mut(req).stage_end = tr.end;
-        let immediate = self.build_write_ops(WriteOps {
+        let tokens = self.tokens.len();
+        self.build_write_ops(WriteOps {
             req: Some(req),
             array,
             laddr,
@@ -194,8 +187,10 @@ impl<'t> Simulator<'t> {
             old_known: false,
             spool: false,
         });
+        let immediate = self.tokens[tokens..].into();
+        self.tokens.truncate(tokens);
         self.note_channel_finish(req, tr.end);
-        self.engine.schedule_at(tr.end, Ev::Issue(immediate.into()));
+        self.engine.schedule_at(tr.end, Ev::Issue(immediate));
     }
 
     /// A channel transfer directly bounds the request's completion (cache

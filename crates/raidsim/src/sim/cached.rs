@@ -15,92 +15,84 @@ impl<'t> Simulator<'t> {
     }
 
     pub(super) fn cached_read(&mut self, req: u32, rec: &TraceRecord, array: u32, _laddr: u64) {
-        let mut missing = std::mem::take(&mut self.cache_missing);
-        missing.clear();
-        let hit = self.caches[array as usize].read_probe_into(
+        let a = array as usize;
+        self.cache_missing.clear();
+        let hit = self.caches[a].read_probe_into(
             BlockKey::range(rec.disk, rec.block, rec.nblocks),
-            &mut missing,
+            &mut self.cache_missing,
         );
         let now = self.engine.now();
         let bytes = rec.nblocks as u64 * self.block_bytes;
 
         if hit {
             // Read hit: response is just the channel wait + transfer.
-            let tr = self.channels[array as usize].request(now, bytes);
+            let tr = self.channels[a].request(now, bytes);
             self.note_channel_finish(req, tr.end);
-            self.cache_missing = missing;
             return;
         }
 
         // Fetch missing blocks; the host transfer runs after the last one
         // lands ("on a read miss the block is fetched from disk").
         self.reqs.get_mut(req).tail_channel_bytes = bytes;
-        let mut evictions = std::mem::take(&mut self.cache_evictions);
-        evictions.clear();
-        for &key in &missing {
-            self.caches[array as usize].fetch_into(key, &mut evictions);
+        let evictions = self.evictions.len();
+        for &key in &self.cache_missing {
+            self.caches[a].fetch_into(key, &mut self.evictions);
         }
         // Merge consecutive missing blocks into fetch runs.
+        let runs = self.plan.runs.len();
         let mut seg_start = 0;
-        for i in 0..missing.len() {
-            let split = i + 1 == missing.len()
-                || missing[i + 1].block != missing[i].block + 1
-                || missing[i + 1].disk != missing[i].disk;
+        for i in 0..self.cache_missing.len() {
+            let key = self.cache_missing[i];
+            let split = self
+                .cache_missing
+                .get(i + 1)
+                .is_none_or(|next| next.block != key.block + 1 || next.disk != key.disk);
             if split {
-                let laddr = self.laddr_of_key(missing[seg_start]);
+                let laddr = self.laddr_of_key(self.cache_missing[seg_start]);
                 let nblocks = (i - seg_start + 1) as u32;
-                let (direct, reconstruct) = match self.failed_in(array) {
-                    Some(f) => {
-                        let d = self.planner.degraded_read_runs(laddr, nblocks, f);
-                        (d.direct, d.reconstruct)
-                    }
-                    None => (self.planner.read_runs(laddr, nblocks), Vec::new()),
-                };
-                for run in direct.into_iter().chain(reconstruct) {
-                    let run = self.choose_replica(array, run);
-                    let t = self.new_op(DiskOp {
-                        role: OpRole::CacheFetch,
-                        req: Some(req),
-                        job: None,
-                        dgroup: None,
-                        gdisk: self.gdisk(array, run.disk),
-                        block: run.block,
-                        nblocks: run.nblocks,
-                        kind: AccessKind::Read,
-                        band: Band::Normal,
-                        feeds: false,
-                        read_end: SimTime::ZERO,
-                        transfer_ns: 0,
-                        attempts: 0,
-                        marks: OpMarks::default(),
-                    });
-                    self.reqs.get_mut(req).pending += 1;
-                    self.enqueue_op(t);
-                }
+                self.plan_read(array, laddr, nblocks);
                 seg_start = i + 1;
             }
         }
-        for &ev in &evictions {
-            self.issue_writeback(Some(req), array, ev);
+        for j in runs..self.plan.runs.len() {
+            let run = self.choose_replica(array, self.plan.runs[j]);
+            let t = self.new_op(DiskOp {
+                role: OpRole::CacheFetch,
+                req: Some(req),
+                job: None,
+                dgroup: None,
+                gdisk: self.gdisk(array, run.disk),
+                block: run.block,
+                nblocks: run.nblocks,
+                kind: AccessKind::Read,
+                band: Band::Normal,
+                feeds: false,
+                read_end: SimTime::ZERO,
+                transfer_ns: 0,
+                attempts: 0,
+                marks: OpMarks::default(),
+            });
+            self.reqs.get_mut(req).pending += 1;
+            self.enqueue_op(t);
         }
-        self.cache_missing = missing;
-        self.cache_evictions = evictions;
+        self.plan.runs.truncate(runs);
+        self.write_back_evictions(Some(req), array, evictions);
     }
 
     pub(super) fn cached_write(&mut self, req: u32, rec: &TraceRecord, array: u32, laddr: u64) {
+        let a = array as usize;
         let keys = BlockKey::range(rec.disk, rec.block, rec.nblocks);
-        let mut evictions = std::mem::take(&mut self.cache_evictions);
-        evictions.clear();
+        let evictions = self.evictions.len();
         if self.battery_out() {
             // NVRAM battery failed: the cache cannot hold dirty data, so the
             // write goes straight to disk (blocks cached clean) and the
             // request waits for the media like a non-cached write.
-            self.caches[array as usize].write_through_into(keys, &mut evictions);
+            self.caches[a].write_through_into(keys, &mut self.evictions);
             let now = self.engine.now();
-            let tr =
-                self.channels[array as usize].request(now, rec.nblocks as u64 * self.block_bytes);
+            let tr = self.channels[a].request(now, rec.nblocks as u64 * self.block_bytes);
             self.reqs.get_mut(req).stage_end = tr.end;
-            let immediate = self.build_write_ops(WriteOps {
+            let tokens = self.tokens.len();
+            self.build_write_ops(WriteOps {
                 req: Some(req),
                 array,
                 laddr,
@@ -110,24 +102,30 @@ impl<'t> Simulator<'t> {
                 old_known: false,
                 spool: false,
             });
+            let immediate = self.tokens[tokens..].into();
+            self.tokens.truncate(tokens);
             self.note_channel_finish(req, tr.end);
-            self.engine.schedule_at(tr.end, Ev::Issue(immediate.into()));
-            for &ev in &evictions {
-                self.issue_writeback(Some(req), array, ev);
-            }
+            self.engine.schedule_at(tr.end, Ev::Issue(immediate));
+            self.write_back_evictions(Some(req), array, evictions);
             self.note_write_through();
-            self.cache_evictions = evictions;
             return;
         }
         let keep_old = self.cfg.organization.has_parity();
-        self.caches[array as usize].write_into(keys, keep_old, &mut evictions);
+        self.caches[a].write_into(keys, keep_old, &mut self.evictions);
         let now = self.engine.now();
-        let tr = self.channels[array as usize].request(now, rec.nblocks as u64 * self.block_bytes);
+        let tr = self.channels[a].request(now, rec.nblocks as u64 * self.block_bytes);
         self.note_channel_finish(req, tr.end);
-        for &ev in &evictions {
-            self.issue_writeback(Some(req), array, ev);
+        self.write_back_evictions(Some(req), array, evictions);
+    }
+
+    /// Write back the dirty evictions from `self.evictions[from..]`, then
+    /// truncate them away (see `build_write_ops` on re-entrancy).
+    fn write_back_evictions(&mut self, req: Option<u32>, array: u32, from: usize) {
+        for i in from..self.evictions.len() {
+            let ev = self.evictions[i];
+            self.issue_writeback(req, array, ev);
         }
-        self.cache_evictions = evictions;
+        self.evictions.truncate(from);
     }
 
     /// Synchronously write back an evicted dirty block (the evicting miss
@@ -138,7 +136,8 @@ impl<'t> Simulator<'t> {
     pub(super) fn issue_writeback(&mut self, req: Option<u32>, array: u32, ev: DirtyEviction) {
         let laddr = self.laddr_of_key(ev.key);
         let spool = self.parity_cached;
-        let immediate = self.build_write_ops(WriteOps {
+        let tokens = self.tokens.len();
+        self.build_write_ops(WriteOps {
             req,
             array,
             laddr,
@@ -148,12 +147,19 @@ impl<'t> Simulator<'t> {
             old_known: ev.had_old,
             spool,
         });
-        for t in immediate {
-            self.enqueue_op(t);
-        }
+        self.enqueue_tokens(tokens);
         if spool {
             self.try_drain_spool(array);
         }
+    }
+
+    /// Enqueue the tokens of `self.tokens[from..]`, then truncate them away.
+    pub(super) fn enqueue_tokens(&mut self, from: usize) {
+        for i in from..self.tokens.len() {
+            let t = self.tokens[i];
+            self.enqueue_op(t);
+        }
+        self.tokens.truncate(from);
     }
 
     /// Buffer one parity-block update in the RAID4 spool, reserving a cache
@@ -165,44 +171,40 @@ impl<'t> Simulator<'t> {
             self.spools[a].add(pblock, full);
             return;
         }
-        match self.caches[a].reserve_slots(1) {
-            Some(evs) => {
-                self.spools[a].add(pblock, full);
-                for ev in evs {
-                    self.issue_writeback(None, array, ev);
-                }
-            }
-            None => {
-                // Spool occupies the whole cache: service the parity update
-                // directly from disk (Section 3.4's overflow behavior).
-                self.spool_stalls += 1;
-                let pdisk = self.n; // RAID4 parity disk
-                if let Some(q) = req {
-                    self.reqs.get_mut(q).pending += 1;
-                }
-                let t = self.new_op(DiskOp {
-                    role: OpRole::ParityRmw,
-                    req,
-                    job: None,
-                    dgroup: None,
-                    gdisk: self.gdisk(array, pdisk),
-                    block: pblock,
-                    nblocks: 1,
-                    kind: if full {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::RmwParityRead
-                    },
-                    band: Band::Normal,
-                    feeds: false,
-                    read_end: SimTime::ZERO,
-                    transfer_ns: 0,
-                    attempts: 0,
-                    marks: OpMarks::default(),
-                });
-                self.enqueue_op(t);
-            }
+        let evictions = self.evictions.len();
+        if self.caches[a].reserve_slots_into(1, &mut self.evictions) {
+            self.spools[a].add(pblock, full);
+            self.write_back_evictions(None, array, evictions);
+            return;
         }
+        // Spool occupies the whole cache: service the parity update
+        // directly from disk (Section 3.4's overflow behavior).
+        self.spool_stalls += 1;
+        let pdisk = self.n; // RAID4 parity disk
+        if let Some(q) = req {
+            self.reqs.get_mut(q).pending += 1;
+        }
+        let t = self.new_op(DiskOp {
+            role: OpRole::ParityRmw,
+            req,
+            job: None,
+            dgroup: None,
+            gdisk: self.gdisk(array, pdisk),
+            block: pblock,
+            nblocks: 1,
+            kind: if full {
+                AccessKind::Write
+            } else {
+                AccessKind::RmwParityRead
+            },
+            band: Band::Normal,
+            feeds: false,
+            read_end: SimTime::ZERO,
+            transfer_ns: 0,
+            attempts: 0,
+            marks: OpMarks::default(),
+        });
+        self.enqueue_op(t);
     }
 
     // ------------------------------------------------------------------
@@ -211,10 +213,7 @@ impl<'t> Simulator<'t> {
 
     pub(super) fn on_destage_tick(&mut self, array: u32) {
         let a = array as usize;
-        let groups = self.caches[a].collect_destage();
-        for group in groups {
-            self.issue_destage_group(array, group);
-        }
+        self.destage(array);
         if self.parity_cached {
             self.try_drain_spool(array);
         }
@@ -237,18 +236,31 @@ impl<'t> Simulator<'t> {
         }
     }
 
+    /// Collect `array`'s destageable blocks and issue each group.
+    pub(super) fn destage(&mut self, array: u32) {
+        let from = self.destage_groups.len();
+        self.caches[array as usize].collect_destage_into(&mut self.destage_groups);
+        for i in from..self.destage_groups.len() {
+            let group = self.destage_groups[i];
+            self.issue_destage_group(array, group);
+        }
+        self.destage_groups.truncate(from);
+    }
+
     pub(super) fn issue_destage_group(&mut self, array: u32, group: DestageGroup) {
         let a = array as usize;
         let laddr = self.laddr_of_key(BlockKey::new(group.disk, group.block));
-        let plan = self.plan_write(array, laddr, group.nblocks);
+        let mark = self.plan.mark();
+        self.plan_write(array, laddr, group.nblocks);
+        let stripes = mark.stripes..self.plan.stripes.len();
         let has_parity = self.cfg.organization.has_parity();
 
         // RAID4: reserve spool slots for every new parity block up front;
         // defer the whole group if the cache cannot hold them.
         if self.parity_cached {
             let mut new_blocks = 0usize;
-            for stripe in &plan.stripes {
-                for p in &stripe.parity {
+            for stripe in &self.plan.stripes[stripes.clone()] {
+                for p in &self.plan.runs[stripe.parity()] {
                     for b in 0..p.nblocks as u64 {
                         if !self.spools[a].contains(p.block + b) {
                             new_blocks += 1;
@@ -256,32 +268,30 @@ impl<'t> Simulator<'t> {
                     }
                 }
             }
-            match self.caches[a].reserve_slots(new_blocks) {
-                Some(evs) => {
-                    for stripe in &plan.stripes {
-                        // Full-stripe *and* reconstruct writes compute the
-                        // actual parity, writable without the old-parity
-                        // pre-read.
-                        let full = stripe.mode != StripeMode::Rmw;
-                        for p in &stripe.parity {
-                            for b in 0..p.nblocks as u64 {
-                                self.spools[a].add(p.block + b, full);
-                            }
-                        }
+            let evictions = self.evictions.len();
+            if !self.caches[a].reserve_slots_into(new_blocks, &mut self.evictions) {
+                self.spool_stalls += 1;
+                self.caches[a].destage_abort(&group);
+                self.plan.truncate(mark);
+                return;
+            }
+            for stripe in &self.plan.stripes[stripes.clone()] {
+                // Full-stripe *and* reconstruct writes compute the actual
+                // parity, writable without the old-parity pre-read.
+                let full = stripe.mode != StripeMode::Rmw;
+                for p in &self.plan.runs[stripe.parity()] {
+                    for b in 0..p.nblocks as u64 {
+                        self.spools[a].add(p.block + b, full);
                     }
-                    for ev in evs {
-                        self.issue_writeback(None, array, ev);
-                    }
-                }
-                None => {
-                    self.spool_stalls += 1;
-                    self.caches[a].destage_abort(&group);
-                    return;
                 }
             }
+            self.write_back_evictions(None, array, evictions);
         }
 
-        let data_ops: u32 = plan.stripes.iter().map(|s| s.data.len() as u32).sum();
+        let data_ops: u32 = self.plan.stripes[stripes.clone()]
+            .iter()
+            .map(|s| s.data().len() as u32)
+            .sum();
         if data_ops == 0 {
             // Degraded mode: every dirty block of the group lived on the
             // failed disk. The parity/reconstruct work still runs below,
@@ -296,13 +306,16 @@ impl<'t> Simulator<'t> {
             })
         });
 
-        for stripe in plan.stripes {
+        for si in stripes {
+            let stripe = self.plan.stripes[si];
+            let (data, extra_reads, parity) =
+                (stripe.data(), stripe.extra_reads(), stripe.parity());
             let rmw_needed = has_parity && !self.parity_cached && stripe.mode != StripeMode::Full;
             // A job couples background parity RMWs to their feeder reads.
             let feeders = if stripe.mode == StripeMode::Reconstruct {
-                stripe.extra_reads.len()
+                extra_reads.len()
             } else if !group.has_old {
-                stripe.data.len()
+                data.len()
             } else {
                 0
             };
@@ -312,13 +325,14 @@ impl<'t> Simulator<'t> {
                     ready: SimTime::ZERO,
                     pending_parity: Vec::new(),
                     rule: EnqueueRule::AtReady,
-                    refs: (feeders + stripe.parity.len()) as u32,
+                    refs: (feeders + parity.len()) as u32,
                 })
             });
 
-            let mut feeders = Vec::new();
+            let feeder_tokens = self.tokens.len();
             if stripe.mode == StripeMode::Reconstruct && has_parity && !self.parity_cached {
-                for r in &stripe.extra_reads {
+                for j in extra_reads {
+                    let r = self.plan.runs[j];
                     let t = self.new_op(DiskOp {
                         role: OpRole::ExtraRead,
                         req: None,
@@ -335,7 +349,7 @@ impl<'t> Simulator<'t> {
                         attempts: 0,
                         marks: OpMarks::default(),
                     });
-                    feeders.push(t);
+                    self.tokens.push(t);
                 }
             }
 
@@ -354,8 +368,9 @@ impl<'t> Simulator<'t> {
                 } else {
                     data_kind
                 };
-            for r in &stripe.data {
-                let is_feeder = data_kind == AccessKind::RmwData && !self.parity_cached;
+            let is_feeder = data_kind == AccessKind::RmwData && !self.parity_cached;
+            for j in data {
+                let r = self.plan.runs[j];
                 let t = self.new_op(DiskOp {
                     role: OpRole::DestageData,
                     req: None,
@@ -372,47 +387,44 @@ impl<'t> Simulator<'t> {
                     attempts: 0,
                     marks: OpMarks::default(),
                 });
-                feeders.push(t);
+                self.tokens.push(t);
             }
 
-            if !has_parity || self.parity_cached {
-                for t in feeders {
-                    self.enqueue_op(t);
-                }
-                continue; // RAID4 parity went to the spool above
-            }
-            for p in &stripe.parity {
+            if has_parity && !self.parity_cached {
                 let kind = if stripe.mode == StripeMode::Rmw {
                     AccessKind::RmwParityRead
                 } else {
                     AccessKind::Write
                 };
-                let t = self.new_op(DiskOp {
-                    role: OpRole::DestageParity,
-                    req: None,
-                    job,
-                    dgroup: None,
-                    gdisk: self.gdisk(array, p.disk),
-                    block: p.block,
-                    nblocks: p.nblocks,
-                    kind,
-                    band: Band::Background,
-                    feeds: false,
-                    read_end: SimTime::ZERO,
-                    transfer_ns: 0,
-                    attempts: 0,
-                    marks: OpMarks::default(),
-                });
-                match job {
-                    None => self.enqueue_op(t),
-                    Some(j) => self.jobs.pending_parity[j as usize].push(t),
+                for j in parity {
+                    let p = self.plan.runs[j];
+                    let t = self.new_op(DiskOp {
+                        role: OpRole::DestageParity,
+                        req: None,
+                        job,
+                        dgroup: None,
+                        gdisk: self.gdisk(array, p.disk),
+                        block: p.block,
+                        nblocks: p.nblocks,
+                        kind,
+                        band: Band::Background,
+                        feeds: false,
+                        read_end: SimTime::ZERO,
+                        transfer_ns: 0,
+                        attempts: 0,
+                        marks: OpMarks::default(),
+                    });
+                    match job {
+                        None => self.enqueue_op(t),
+                        Some(j) => self.jobs.pending_parity[j as usize].push(t),
+                    }
                 }
             }
-            // Enqueue feeders only after the parity ops are registered.
-            for t in feeders {
-                self.enqueue_op(t);
-            }
+            // Enqueue feeders only after the parity ops are registered
+            // (RAID4's parity went to the spool above).
+            self.enqueue_tokens(feeder_tokens);
         }
+        self.plan.truncate(mark);
     }
 
     /// Keep the RAID4 parity disk fed from the spool whenever it is idle.

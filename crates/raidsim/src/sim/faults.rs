@@ -574,7 +574,7 @@ impl<'t> Simulator<'t> {
         } else {
             for b in 0..op.nblocks as u64 {
                 for (disk, block) in self.planner.peers_of(local, op.block + b) {
-                    crate::mapping::push_merged(&mut runs, disk, block);
+                    crate::mapping::push_merged(&mut runs, 0, disk, block);
                 }
             }
             reconstructed = !runs.is_empty();
@@ -716,7 +716,7 @@ impl<'t> Simulator<'t> {
         }
         let mut runs: Vec<Run> = Vec::new();
         for (disk, block) in pairs {
-            crate::mapping::push_merged(&mut runs, disk, block);
+            crate::mapping::push_merged(&mut runs, 0, disk, block);
         }
         // Write targets: one run onto the hot spare, or the batch's blocks
         // spread over the survivors' spare areas.
@@ -730,7 +730,7 @@ impl<'t> Simulator<'t> {
             SparingMode::Distributed => {
                 for b in cursor..cursor + batch as u64 {
                     let disk = crate::mapping::distributed_spare_target(self.dpa, local, b);
-                    crate::mapping::push_merged(&mut write_runs, disk, b);
+                    crate::mapping::push_merged(&mut write_runs, 0, disk, b);
                 }
             }
         }
@@ -953,7 +953,7 @@ impl<'t> Simulator<'t> {
                 continue;
             }
             pairs.extend(peers);
-            crate::mapping::push_merged(&mut repair_runs, local, b);
+            crate::mapping::push_merged(&mut repair_runs, 0, local, b);
         }
         if lost > 0 {
             self.note_data_loss(array, lost, now);
@@ -967,7 +967,7 @@ impl<'t> Simulator<'t> {
         pairs.sort_unstable();
         let mut runs: Vec<Run> = Vec::new();
         for (disk, block) in pairs {
-            crate::mapping::push_merged(&mut runs, disk, block);
+            crate::mapping::push_merged(&mut runs, 0, disk, block);
         }
         let mut wts: Vec<u32> = Vec::with_capacity(repair_runs.len());
         for run in &repair_runs {
@@ -1037,10 +1037,7 @@ impl<'t> Simulator<'t> {
             if self.caches.is_empty() {
                 break;
             }
-            let groups = self.caches[a as usize].collect_destage();
-            for group in groups {
-                self.issue_destage_group(a, group);
-            }
+            self.destage(a);
             if self.parity_cached {
                 self.try_drain_spool(a);
             }

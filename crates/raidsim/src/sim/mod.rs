@@ -52,7 +52,7 @@ mod slab;
 mod soa;
 
 use crate::config::{FaultConfig, Organization, SimConfig, SparingMode, SyncPolicy};
-use crate::mapping::{OrgMap, Run, StripeMode};
+use crate::mapping::{OrgMap, PlanBuf, Run, StripeMode};
 use crate::report::{
     ClassReport, FaultReport, PhaseSample, PhaseWelfords, ReliabilityReport, SchedulerReport,
     SimReport,
@@ -61,7 +61,7 @@ use diskmodel::{
     rmw_write_complete, AccessKind, Band, Discipline, Disk, DiskScheduler, SchedulerQueue,
 };
 use iochannel::{BufferPool, Channel, RetryPolicy};
-use nvcache::{NvCache, ParitySpool};
+use nvcache::{BlockKey, NvCache, ParitySpool};
 use raidtp_stats::{DiskCounters, Histogram, TimeSeries, Welford};
 use simkit::{Engine, EventId, FaultEvent, FaultPlan, FaultRng, SimTime};
 use slab::Slab;
@@ -408,11 +408,16 @@ pub struct Simulator<'t> {
     admission_wait: Vec<VecDeque<(usize, u32)>>,
     caches: Vec<NvCache>,
     spools: Vec<ParitySpool>,
-    /// Scratch buffers of the cached request path (missing blocks of a
-    /// read, dirty evictions of a read or write), taken and put back per
-    /// request so the hot path allocates nothing once they have grown.
-    cache_missing: Vec<nvcache::BlockKey>,
-    cache_evictions: Vec<nvcache::DirtyEviction>,
+    /// Scratch buffers of the request path, kept so it allocates nothing
+    /// once they have grown: the missing blocks of a cached read, and four
+    /// stacks — write plans and read runs, op tokens, dirty evictions and
+    /// destage groups — that each planning call appends to and truncates
+    /// back to where it started (see `build_write_ops` on re-entrancy).
+    cache_missing: Vec<BlockKey>,
+    plan: PlanBuf,
+    tokens: Vec<u32>,
+    evictions: Vec<nvcache::DirtyEviction>,
+    destage_groups: Vec<nvcache::DestageGroup>,
 
     ops: OpSlab,
     jobs: JobSlab,
@@ -543,6 +548,19 @@ impl<'t> Simulator<'t> {
         if trace.blocks_per_disk > bpd {
             return Err("trace addresses exceed the physical disk size".into());
         }
+        let cache_blocks = cfg
+            .cache
+            .map(|c| c.blocks(cfg.geometry.block_bytes))
+            .transpose()?;
+        if cache_blocks.is_some()
+            && (trace.n_disks > BlockKey::MAX_DISKS || bpd > BlockKey::MAX_BLOCKS)
+        {
+            return Err(format!(
+                "an NV cache keys at most {} disks of {} blocks",
+                BlockKey::MAX_DISKS,
+                BlockKey::MAX_BLOCKS
+            ));
+        }
         let arrays = cfg.arrays_for(trace.n_disks);
         let planner = Planner::new(cfg.organization, n, bpd)?;
         let dpa = planner.disks_per_array();
@@ -567,9 +585,6 @@ impl<'t> Simulator<'t> {
             None => (0..total_disks).map(cold_disk).collect(),
         };
 
-        let cache_blocks = cfg
-            .cache
-            .map(|c| nvcache::blocks_for_mb(c.size_mb, cfg.geometry.block_bytes as u64) as usize);
         let caches = match cache_blocks {
             Some(blocks) => (0..arrays)
                 .map(|a| {
@@ -722,7 +737,10 @@ impl<'t> Simulator<'t> {
             caches,
             spools,
             cache_missing: Vec::with_capacity(64),
-            cache_evictions: Vec::with_capacity(64),
+            plan: PlanBuf::default(),
+            tokens: Vec::with_capacity(64),
+            evictions: Vec::with_capacity(64),
+            destage_groups: Vec::new(),
             ops: OpSlab::with_capacity(ev_cap),
             jobs: JobSlab::with_capacity(ev_cap / 4),
             reqs: Slab::with_capacity(ev_cap / 2),

@@ -22,7 +22,7 @@
 //! everywhere outside `config.rs`, `report.rs`, and `mapping/`.
 
 use super::*;
-use crate::mapping::{DegradedRead, WritePlan};
+use crate::mapping::PlanBuf;
 
 /// Read/write/degraded planning for one organization.
 pub(super) trait OrgPlanner {
@@ -47,17 +47,25 @@ pub(super) trait OrgPlanner {
     fn logical_capacity(&self) -> u64 {
         self.map().logical_capacity()
     }
-    fn read_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
-        self.map().read_runs(laddr, n)
+    fn read_runs_into(&self, laddr: u64, n: u32, runs: &mut Vec<Run>) {
+        self.map().read_runs_into(laddr, n, runs)
     }
-    fn degraded_read_runs(&self, laddr: u64, n: u32, failed_disk: u32) -> DegradedRead {
-        self.map().degraded_read_runs(laddr, n, failed_disk)
+    fn degraded_read_runs_into(
+        &self,
+        laddr: u64,
+        n: u32,
+        failed_disk: u32,
+        runs: &mut Vec<Run>,
+    ) -> usize {
+        self.map()
+            .degraded_read_runs_into(laddr, n, failed_disk, runs)
     }
-    fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
-        self.map().write_plan(laddr, n)
+    fn write_plan_into(&self, laddr: u64, n: u32, plan: &mut PlanBuf) {
+        self.map().write_plan_into(laddr, n, plan)
     }
-    fn degraded_write_plan(&self, laddr: u64, n: u32, failed_disk: u32) -> WritePlan {
-        self.map().degraded_write_plan(laddr, n, failed_disk)
+    fn degraded_write_plan_into(&self, laddr: u64, n: u32, failed_disk: u32, plan: &mut PlanBuf) {
+        self.map()
+            .degraded_write_plan_into(laddr, n, failed_disk, plan)
     }
     fn mirror_of(&self, run: Run) -> Option<Run> {
         self.map().mirror_of(run)
@@ -206,12 +214,30 @@ impl<'t> Simulator<'t> {
         self.failed_local[array as usize]
     }
 
-    /// The organization-appropriate write plan, accounting for a failed
-    /// disk in this array.
-    pub(super) fn plan_write(&self, array: u32, laddr: u64, n: u32) -> WritePlan {
+    /// Append the organization-appropriate write plan to `self.plan`,
+    /// accounting for a failed disk in this array.
+    pub(super) fn plan_write(&mut self, array: u32, laddr: u64, n: u32) {
         match self.failed_in(array) {
-            Some(f) => self.planner.degraded_write_plan(laddr, n, f),
-            None => self.planner.write_plan(laddr, n),
+            Some(f) => self
+                .planner
+                .degraded_write_plan_into(laddr, n, f, &mut self.plan),
+            None => self.planner.write_plan_into(laddr, n, &mut self.plan),
+        }
+    }
+
+    /// Append the physical runs of a read to `self.plan.runs`: the
+    /// organization's runs, or under a failed disk the surviving direct
+    /// runs followed by the peer runs that reconstruct the lost blocks.
+    /// Returns where the reconstruct runs start.
+    pub(super) fn plan_read(&mut self, array: u32, laddr: u64, n: u32) -> usize {
+        match self.failed_in(array) {
+            Some(f) => self
+                .planner
+                .degraded_read_runs_into(laddr, n, f, &mut self.plan.runs),
+            None => {
+                self.planner.read_runs_into(laddr, n, &mut self.plan.runs);
+                self.plan.runs.len()
+            }
         }
     }
 
@@ -246,9 +272,18 @@ impl<'t> Simulator<'t> {
 
     /// Create the disk ops (and parity jobs) for a write of
     /// `[laddr, laddr+n)` under the organization's (possibly degraded)
-    /// plan; returns the immediately issuable tokens — parity ops gated by
-    /// a synchronization rule are issued later by their job.
-    pub(super) fn build_write_ops(&mut self, w: WriteOps) -> Vec<u32> {
+    /// plan, and append the immediately issuable tokens to `self.tokens` —
+    /// parity ops gated by a synchronization rule are issued later by their
+    /// job.
+    ///
+    /// Re-entrancy: under RAID4 parity caching, `spool_parity` may evict a
+    /// dirty block whose writeback plans and builds a write of its own in
+    /// the middle of this one. So every planning call appends to the
+    /// simulator's scratch buffers (`plan`, `tokens`, `evictions`), reads
+    /// its own entries back by index, and truncates to where it started:
+    /// a nested call works past the outer call's entries and never
+    /// overwrites them.
+    pub(super) fn build_write_ops(&mut self, w: WriteOps) {
         let WriteOps {
             req,
             array,
@@ -259,21 +294,25 @@ impl<'t> Simulator<'t> {
             old_known,
             spool,
         } = w;
-        let plan = self.plan_write(array, laddr, n);
+        let mark = self.plan.mark();
+        self.plan_write(array, laddr, n);
         let parity_band = if band == Band::Normal && self.cfg.sync.has_priority() {
             Band::Priority
         } else {
             band
         };
-        let mut immediate = Vec::new();
-        for stripe in plan.stripes {
-            if spool && !stripe.parity.is_empty() {
+        for si in mark.stripes..self.plan.stripes.len() {
+            let stripe = self.plan.stripes[si];
+            let (data, extra_reads, parity) =
+                (stripe.data(), stripe.extra_reads(), stripe.parity());
+            if spool && !parity.is_empty() {
                 // RAID4 parity caching: buffer the update instead of
                 // touching the parity disk. Full-stripe and reconstruct
                 // writes hold real parity; RMW deltas still need the
                 // old-parity pre-read at drain time.
                 let full = stripe.mode != StripeMode::Rmw;
-                for p in &stripe.parity {
+                for j in parity.clone() {
+                    let p = self.plan.runs[j];
                     for b in 0..p.nblocks as u64 {
                         self.spool_parity(array, p.block + b, full, req);
                     }
@@ -281,23 +320,25 @@ impl<'t> Simulator<'t> {
             }
             match stripe.mode {
                 StripeMode::Full => {
-                    for r in &stripe.data {
+                    for j in data {
+                        let r = self.plan.runs[j];
                         let t =
-                            self.data_op(req, array, r, data_role, AccessKind::Write, band, None);
-                        immediate.push(t);
+                            self.data_op(req, array, &r, data_role, AccessKind::Write, band, None);
+                        self.tokens.push(t);
                     }
                     if !spool {
-                        for p in &stripe.parity {
+                        for j in parity {
+                            let p = self.plan.runs[j];
                             let t = self.data_op(
                                 req,
                                 array,
-                                p,
+                                &p,
                                 OpRole::ParityWrite,
                                 AccessKind::Write,
                                 parity_band,
                                 None,
                             );
-                            immediate.push(t);
+                            self.tokens.push(t);
                         }
                     }
                 }
@@ -305,21 +346,22 @@ impl<'t> Simulator<'t> {
                     // Parity is recomputed from the surviving reads; when it
                     // is spooled (RAID4) or absent (degraded parity disk),
                     // the helper reads serve no one and are skipped.
-                    let job = (!spool && !stripe.parity.is_empty()).then(|| {
+                    let job = (!spool && !parity.is_empty()).then(|| {
                         self.jobs.insert(ParityJob {
-                            data_not_started: stripe.extra_reads.len() as u32,
+                            data_not_started: extra_reads.len() as u32,
                             ready: SimTime::ZERO,
                             pending_parity: Vec::new(),
                             rule: EnqueueRule::AtReady,
-                            refs: (stripe.extra_reads.len() + stripe.parity.len()) as u32,
+                            refs: (extra_reads.len() + parity.len()) as u32,
                         })
                     });
                     if let Some(job) = job {
-                        for p in &stripe.parity {
+                        for j in parity {
+                            let p = self.plan.runs[j];
                             let t = self.data_op(
                                 req,
                                 array,
-                                p,
+                                &p,
                                 OpRole::ParityWrite,
                                 AccessKind::Write,
                                 parity_band,
@@ -327,21 +369,23 @@ impl<'t> Simulator<'t> {
                             );
                             self.jobs.pending_parity[job as usize].push(t);
                         }
-                        if stripe.extra_reads.is_empty() {
+                        if extra_reads.is_empty() {
                             // Parity computable from new data alone.
                             let pending =
                                 std::mem::take(&mut self.jobs.pending_parity[job as usize]);
-                            immediate.extend(pending);
+                            self.tokens.extend(pending);
                         }
-                        for r in &stripe.extra_reads {
-                            let t = self.extra_read_op(array, r, job, band);
-                            immediate.push(t);
+                        for j in extra_reads {
+                            let r = self.plan.runs[j];
+                            let t = self.extra_read_op(array, &r, job, band);
+                            self.tokens.push(t);
                         }
                     }
-                    for r in &stripe.data {
+                    for j in data {
+                        let r = self.plan.runs[j];
                         let t =
-                            self.data_op(req, array, r, data_role, AccessKind::Write, band, None);
-                        immediate.push(t);
+                            self.data_op(req, array, &r, data_role, AccessKind::Write, band, None);
+                        self.tokens.push(t);
                     }
                 }
                 StripeMode::Rmw => {
@@ -360,7 +404,7 @@ impl<'t> Simulator<'t> {
                     // parity RMW needs no feeder. A spooled parity still
                     // wants the pre-read when the old data is unknown, to
                     // form the delta, but nothing waits on it.
-                    let pre_read = !stripe.parity.is_empty() && !old_known;
+                    let pre_read = !parity.is_empty() && !old_known;
                     let data_kind = if pre_read {
                         AccessKind::RmwData
                     } else {
@@ -369,50 +413,49 @@ impl<'t> Simulator<'t> {
                     let needs_job = !spool && pre_read;
                     let job = needs_job.then(|| {
                         self.jobs.insert(ParityJob {
-                            data_not_started: stripe.data.len() as u32,
+                            data_not_started: data.len() as u32,
                             ready: SimTime::ZERO,
                             pending_parity: Vec::new(),
                             rule,
-                            refs: (stripe.data.len() + stripe.parity.len()) as u32,
+                            refs: (data.len() + parity.len()) as u32,
                         })
                     });
-                    for r in &stripe.data {
-                        let role = if job.is_some() {
-                            OpRole::RmwData
-                        } else {
-                            data_role
-                        };
-                        let t = self.data_op(req, array, r, role, data_kind, band, job);
-                        immediate.push(t);
+                    let role = if job.is_some() {
+                        OpRole::RmwData
+                    } else {
+                        data_role
+                    };
+                    for j in data {
+                        let r = self.plan.runs[j];
+                        let t = self.data_op(req, array, &r, role, data_kind, band, job);
+                        self.tokens.push(t);
                     }
                     if spool {
                         continue;
                     }
-                    for p in &stripe.parity {
+                    for j in parity {
+                        let p = self.plan.runs[j];
                         let t = self.data_op(
                             req,
                             array,
-                            p,
+                            &p,
                             OpRole::ParityRmw,
                             AccessKind::RmwParityRead,
                             parity_band,
                             job,
                         );
                         match job {
-                            None => immediate.push(t), // ready immediately
-                            Some(j) => {
-                                if rule == EnqueueRule::AlreadyIssued {
-                                    immediate.push(t);
-                                } else {
-                                    self.jobs.pending_parity[j as usize].push(t);
-                                }
+                            Some(j) if rule != EnqueueRule::AlreadyIssued => {
+                                self.jobs.pending_parity[j as usize].push(t)
                             }
+                            // Ready immediately, or issued with the data.
+                            _ => self.tokens.push(t),
                         }
                     }
                 }
             }
         }
-        immediate
+        self.plan.truncate(mark);
     }
 
     #[allow(clippy::too_many_arguments)] // a plain op builder; a params struct would add noise

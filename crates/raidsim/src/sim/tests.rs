@@ -253,6 +253,43 @@ fn raid4_parity_caching_runs_and_spools() {
     assert!(r.per_disk_accesses.counts()[10] > 0);
 }
 
+/// A cache far larger than its working set (`simulate --cache 1000000`,
+/// about a terabyte) runs with memory sized by use, and one past the
+/// cache's `u32` node ids or a `u64` byte count is refused by name
+/// instead of aborting the allocator.
+#[test]
+fn huge_cache_sizes_run_or_are_refused() {
+    let trace = SynthSpec::trace2().scaled(0.05).generate();
+    let cfg = |size_mb| {
+        let mut cfg = SimConfig::with_organization(Organization::Raid5 { striping_unit: 1 });
+        cfg.cache = Some(CacheConfig {
+            size_mb,
+            ..CacheConfig::default()
+        });
+        cfg
+    };
+    let r = Simulator::try_new(cfg(1_000_000), &trace)
+        .expect("a terabyte cache is valid")
+        .run();
+    assert_eq!(r.requests_completed, trace.len() as u64);
+    let sized_to_trace = Simulator::new(cfg(256), &trace).run();
+    assert_eq!(
+        r.cache, sized_to_trace.cache,
+        "both hold the whole working set"
+    );
+    for size_mb in [1u64 << 40, u64::MAX] {
+        let e = Simulator::try_new(cfg(size_mb), &trace)
+            .err()
+            .expect("refused");
+        assert!(e.contains(&format!("{size_mb} MB")), "{e}");
+    }
+    // A trace past the cache's packed key space is refused before any
+    // per-disk state is built.
+    let wide = Trace::new(nvcache::BlockKey::MAX_DISKS + 1, 1000);
+    let e = Simulator::try_new(cfg(16), &wide).err().expect("refused");
+    assert!(e.contains("NV cache keys at most"), "{e}");
+}
+
 #[test]
 fn raid4_reads_never_touch_the_parity_disk() {
     // A read-only workload against cached RAID4: disk 10 must stay idle.

@@ -197,3 +197,63 @@ fn sampler_is_timing_neutral_for_all_organizations() {
         );
     }
 }
+
+/// Report hashes of the NV-cache eviction paths: Trace 2 ×0.05 replayed
+/// 100× faster, seed 7, caches of 1 MB and 4 MB. The compressed arrivals
+/// overrun the destage process, so misses evict dirty blocks (synchronous
+/// writebacks, old copies dropped with their owners) and the RAID4 spool
+/// overflows the cache — paths the paper-speed runs above never load. The
+/// hashes were recorded before the cache's block store moved to a packed
+/// data-block index with linked old copies.
+const EVICTION_HASHES: [(usize, u64, u64); 10] = [
+    (0, 1, 0x7de0_7322_ae7e_840b), // Base
+    (0, 4, 0xd206_e1b8_ddfc_ee47),
+    (1, 1, 0x67b0_8ecd_9855_02f1), // Mirror
+    (1, 4, 0xa570_38af_980c_87ad),
+    (2, 1, 0x8547_e636_30a6_5b17), // RAID5
+    (2, 4, 0x60b0_59db_0eb4_f1db),
+    (3, 1, 0xf3db_5216_5ad9_2ce8), // RAID4
+    (3, 4, 0xe190_4ef3_fe40_9fcf),
+    (4, 1, 0x232e_c728_c569_57ce), // Parity Striping
+    (4, 4, 0xef76_3b51_6f58_0902),
+];
+
+#[test]
+fn cache_eviction_paths_match_recorded_hashes() {
+    let trace = tracegen::transform::at_speed(&SynthSpec::trace2().scaled(0.05).generate(), 100.0);
+    let orgs = organizations();
+    for (idx, size_mb, expected) in EVICTION_HASHES {
+        let org = orgs[idx];
+        let mut cfg = config(org, true, 7);
+        cfg.cache = Some(CacheConfig {
+            size_mb,
+            ..CacheConfig::default()
+        });
+        let report = Simulator::new(cfg, &trace).run();
+        let cache = report.cache.expect("cached run reports cache stats");
+        let hash = fnv1a(format!("{report:#?}").as_bytes());
+        println!(
+            "eviction-hash {:>8} {size_mb} MB dirty_evictions={} overflow_events={} fnv1a={hash:016x}",
+            org.label(),
+            cache.dirty_evictions,
+            cache.overflow_events,
+        );
+        assert!(
+            cache.dirty_evictions > 0,
+            "{} {size_mb} MB: the run must evict dirty blocks",
+            org.label()
+        );
+        if matches!(org, Organization::Raid4 { .. }) && size_mb == 1 {
+            assert!(
+                cache.overflow_events > 0,
+                "RAID4 1 MB: the parity spool must overflow the cache"
+            );
+        }
+        assert_eq!(
+            hash,
+            expected,
+            "{} {size_mb} MB: eviction-path report diverged from the recorded hash",
+            org.label()
+        );
+    }
+}
