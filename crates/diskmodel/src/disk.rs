@@ -4,6 +4,7 @@ use crate::geometry::{BlockNo, Cylinder, DiskGeometry};
 use crate::seek::SeekCurve;
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
+use std::sync::Arc;
 
 /// How an operation uses the media.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,9 +89,16 @@ pub fn rmw_write_complete(
 #[derive(Clone, Debug)]
 pub struct Disk {
     geom: DiskGeometry,
-    seek: SeekCurve,
+    /// `SeekCurve::seek_ns(d)` for every arm distance `d < cylinders`,
+    /// shared by every drive built from this one with [`Disk::sibling`].
+    seek_ns: Arc<[u64]>,
+    // The geometry's derived constants, computed once instead of per access.
     rotation_ns: u64,
     block_transfer_ns: u64,
+    blocks_per_cylinder: u64,
+    blocks_per_track: u64,
+    sectors_per_block: u64,
+    sectors_per_track: u64,
     phase_ns: u64,
     cyl: Cylinder,
     busy_until: SimTime,
@@ -105,13 +113,17 @@ impl Disk {
     /// Create a drive with the given rotational phase offset (use a value
     /// derived from the disk id / run seed; disks are not synchronized).
     pub fn new(geom: DiskGeometry, seek: SeekCurve, phase_ns: u64) -> Disk {
+        let seek_ns = (0..geom.cylinders).map(|d| seek.seek_ns(d)).collect();
         let rotation_ns = geom.rotation_ns();
-        let block_transfer_ns = geom.block_transfer_ns();
         Disk {
-            geom,
-            seek,
+            seek_ns,
             rotation_ns,
-            block_transfer_ns,
+            block_transfer_ns: geom.block_transfer_ns(),
+            blocks_per_cylinder: geom.blocks_per_cylinder(),
+            blocks_per_track: geom.blocks_per_track() as u64,
+            sectors_per_block: geom.sectors_per_block() as u64,
+            sectors_per_track: geom.sectors_per_track as u64,
+            geom,
             phase_ns: phase_ns % rotation_ns,
             cyl: 0,
             busy_until: SimTime::ZERO,
@@ -119,6 +131,22 @@ impl Disk {
             seek_ns_total: 0,
             latency_ns_total: 0,
             ops: 0,
+        }
+    }
+
+    /// A fresh drive of this one's model (geometry and seek curve) at
+    /// another phase: what [`Disk::new`] would build, sharing this drive's
+    /// seek table instead of filling another.
+    pub fn sibling(&self, phase_ns: u64) -> Disk {
+        Disk {
+            phase_ns: phase_ns % self.rotation_ns,
+            cyl: 0,
+            busy_until: SimTime::ZERO,
+            busy_ns: 0,
+            seek_ns_total: 0,
+            latency_ns_total: 0,
+            ops: 0,
+            ..self.clone()
         }
     }
 
@@ -151,16 +179,29 @@ impl Disk {
     /// shortest-seek dispatch.
     #[inline]
     pub fn arm_distance(&self, block: BlockNo) -> u32 {
-        self.cyl.abs_diff(self.geom.cylinder_of(block))
+        self.cyl.abs_diff(self.cylinder_of(block))
+    }
+
+    /// [`DiskGeometry::cylinder_of`].
+    #[inline]
+    pub fn cylinder_of(&self, block: BlockNo) -> Cylinder {
+        debug_assert!(block < self.geom.blocks_per_disk());
+        (block / self.blocks_per_cylinder) as Cylinder
     }
 
     /// Rotational wait from absolute time `t` until the head is over the
     /// start of `sector`.
     #[inline]
-    fn rotational_wait(&self, t: SimTime, sector: u32) -> u64 {
+    fn rotational_wait(&self, t: SimTime, sector: u64) -> u64 {
         let angle = (t.as_ns() + self.phase_ns) % self.rotation_ns;
-        let target = self.geom.sectors_to_ns(sector as u64);
-        (target + self.rotation_ns - angle) % self.rotation_ns
+        // `DiskGeometry::sectors_to_ns`; below one rotation, as is `angle`.
+        let target = self.rotation_ns * sector / self.sectors_per_track;
+        let wait = target + self.rotation_ns - angle;
+        if wait >= self.rotation_ns {
+            wait - self.rotation_ns
+        } else {
+            wait
+        }
     }
 
     /// Compute the timing of an access to `nblocks` contiguous blocks
@@ -176,10 +217,13 @@ impl Disk {
     ) -> AccessTiming {
         debug_assert!(nblocks >= 1);
         debug_assert!(block + nblocks as u64 <= self.geom.blocks_per_disk());
-        let target_cyl = self.geom.cylinder_of(block);
-        let seek_ns = self.seek.seek_ns(self.cyl.abs_diff(target_cyl));
+        let target_cyl = block / self.blocks_per_cylinder;
+        let in_cyl = block % self.blocks_per_cylinder;
+        let seek_ns = self.seek_ns[self.cyl.abs_diff(target_cyl as Cylinder) as usize];
         let after_seek = start + seek_ns;
-        let latency_ns = self.rotational_wait(after_seek, self.geom.start_sector_of(block));
+        // `DiskGeometry::start_sector_of`.
+        let sector = in_cyl % self.blocks_per_track * self.sectors_per_block;
+        let latency_ns = self.rotational_wait(after_seek, sector);
         let transfer_ns = self.block_transfer_ns * nblocks as u64;
         let read_end = after_seek + latency_ns + transfer_ns;
         let complete = match kind {
@@ -197,7 +241,11 @@ impl Disk {
             transfer_ns,
             read_end,
             complete,
-            end_cylinder: self.geom.cylinder_of(block + nblocks as u64 - 1),
+            end_cylinder: if in_cyl + nblocks as u64 <= self.blocks_per_cylinder {
+                target_cyl as Cylinder
+            } else {
+                self.cylinder_of(block + nblocks as u64 - 1)
+            },
         }
     }
 
@@ -394,7 +442,52 @@ mod tests {
         assert_eq!(t1.latency_ns, ROT - ROT / 2);
     }
 
+    #[test]
+    fn sibling_is_a_fresh_drive_at_its_phase() {
+        let mut d = disk();
+        let t = d.plan(SimTime::ZERO, 180 * 50, 1, AccessKind::Read);
+        d.commit(&t, t.complete);
+        let fresh = Disk::new(DiskGeometry::default(), SeekCurve::table1(), ROT / 3);
+        let sib = d.sibling(ROT + ROT / 3);
+        assert_eq!(format!("{sib:?}"), format!("{fresh:?}"));
+    }
+
     proptest! {
+        /// The precomputed geometry constants and seek table give exactly
+        /// what the geometry helpers and the seek curve compute, for the
+        /// Table 1 drive and a faster, larger one.
+        #[test]
+        fn prop_plan_matches_the_geometry_formulas(
+            fast in any::<bool>(),
+            from in 0u64..1_000_000,
+            block in 0u64..1_000_000,
+            n in 1u32..400,
+            start_ns in 0u64..10_000_000_000,
+            phase in 0u64..20_000_000,
+        ) {
+            let (g, seek) = if fast {
+                let g = DiskGeometry { rpm: 7200, cylinders: 1890, ..DiskGeometry::default() };
+                (g, SeekCurve::calibrate(1890, 8.0, 18.0, 1.5))
+            } else {
+                (DiskGeometry::default(), SeekCurve::table1())
+            };
+            let bpd = g.blocks_per_disk();
+            let (from, block) = (from % bpd, block % (bpd - n as u64));
+            let mut d = Disk::new(g.clone(), seek, phase);
+            let moved = d.plan(SimTime::ZERO, from, 1, AccessKind::Read);
+            d.commit(&moved, moved.complete);
+            let start = moved.complete + start_ns;
+            let t = d.plan(start, block, n, AccessKind::RmwData);
+            let distance = g.cylinder_of(from).abs_diff(g.cylinder_of(block));
+            prop_assert_eq!(t.seek_ns, seek.seek_ns(distance));
+            let rot = g.rotation_ns();
+            let angle = (start.as_ns() + t.seek_ns + phase % rot) % rot;
+            let target = g.sectors_to_ns(g.start_sector_of(block) as u64);
+            prop_assert_eq!(t.latency_ns, (target + rot - angle) % rot);
+            prop_assert_eq!(t.transfer_ns, g.block_transfer_ns() * n as u64);
+            prop_assert_eq!(t.end_cylinder, g.cylinder_of(block + n as u64 - 1));
+        }
+
         /// Latency is always within one rotation; completion ordering holds.
         #[test]
         fn prop_plan_invariants(

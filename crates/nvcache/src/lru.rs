@@ -641,13 +641,14 @@ impl NvCache {
 
     /// Undo a [`NvCache::collect_destage_into`] pick that could not be
     /// issued (e.g. the RAID4 spool could not reserve slots): blocks stay
-    /// dirty and become collectable again.
+    /// dirty and become collectable again. Nothing was written, so a write
+    /// that landed since the pick is just part of the dirty contents.
     pub fn destage_abort(&mut self, group: &DestageGroup) {
         for k in BlockKey::range(group.disk, group.block, group.nblocks) {
             let key = k.packed();
             if let Some(i) = self.index.get(key) {
                 let node = self.node_mut(i);
-                node.flags &= !DESTAGING;
+                node.flags &= !(DESTAGING | REDIRTIED);
                 if node.has(DIRTY) {
                     self.mark_collectable(key, i);
                 }
@@ -711,7 +712,8 @@ impl NvCache {
     ///   have old copies, and [`NvCache::has_old_copy`] agrees;
     /// * the LRU list visits exactly `len` live nodes, both directions
     ///   agree, and every freed node is off the list and on the free list;
-    /// * every destageable block has a `collectable` entry;
+    /// * every destageable block has a `collectable` entry, and only
+    ///   in-flight blocks are marked re-dirtied;
     /// * `reserved ≤ capacity`.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
@@ -765,6 +767,9 @@ impl NvCache {
             }
             if self.has_old_copy(key) != (n.link != NIL) {
                 return Err(format!("has_old_copy({key:?}) disagrees with the link"));
+            }
+            if n.has(REDIRTIED) && !n.has(DESTAGING) {
+                return Err(format!("{key:?} re-dirtied outside a destage"));
             }
             if n.flags & (DIRTY | DESTAGING) == DIRTY && !self.collectable.contains(&(n.key, i)) {
                 return Err(format!("destageable {key:?} has no collectable entry"));
@@ -999,6 +1004,26 @@ mod tests {
         assert!(c.is_dirty(k(1)), "block re-dirtied during destage");
         // And it is destageable again.
         assert_eq!(c.collect_destage().len(), 1);
+    }
+
+    /// An aborted destage wrote nothing, so a write that landed while its
+    /// blocks were picked is just part of their dirty contents: the next
+    /// destage writes it and leaves the blocks clean.
+    #[test]
+    fn write_during_aborted_destage_is_cleaned_by_the_next_destage() {
+        let mut c = NvCache::new(8);
+        c.write_access(&[k(1)], false);
+        let groups = c.collect_destage();
+        c.write_access(&[k(1)], false); // lands while picked
+        c.destage_abort(&groups[0]);
+        let groups = c.collect_destage();
+        assert_eq!(groups.len(), 1);
+        c.destage_complete(&groups[0]);
+        assert!(
+            !c.is_dirty(k(1)),
+            "no newer contents than the destage wrote"
+        );
+        assert!(c.collect_destage().is_empty(), "no second destage");
     }
 
     #[test]

@@ -205,6 +205,7 @@ impl Reference {
         for k in BlockKey::range(g.disk, g.block, g.nblocks) {
             if let Some(i) = self.pos(k, false) {
                 self.lru[i].destaging = false;
+                self.lru[i].redirtied = false;
             }
         }
     }

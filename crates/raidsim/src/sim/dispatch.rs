@@ -51,7 +51,7 @@ impl<'t> Simulator<'t> {
             self.abort_op(token, false);
             return;
         }
-        let cyl = self.disks[g].geometry().cylinder_of(block);
+        let cyl = self.disks[g].cylinder_of(block);
         self.queues[g].push(band, token, cyl);
         self.try_start(gdisk);
     }

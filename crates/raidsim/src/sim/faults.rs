@@ -323,8 +323,7 @@ impl<'t> Simulator<'t> {
                     self.disks.len() as u64 * k as u64 + gdisk as u64,
                     self.rot_ns,
                 );
-                self.disks[gdisk as usize] =
-                    Disk::new(self.cfg.geometry.clone(), self.cfg.seek, phase);
+                self.disks[gdisk as usize] = self.disks[gdisk as usize].sibling(phase);
             }
             self.engine.schedule_now(Ev::RebuildStep { array, epoch });
         }
@@ -372,7 +371,7 @@ impl<'t> Simulator<'t> {
                 self.disks.len() as u64 * k as u64 + gdisk as u64,
                 self.rot_ns,
             );
-            self.disks[gdisk as usize] = Disk::new(self.cfg.geometry.clone(), self.cfg.seek, phase);
+            self.disks[gdisk as usize] = self.disks[gdisk as usize].sibling(phase);
             self.engine.schedule_now(Ev::RebuildStep { array, epoch });
         }
     }

@@ -342,19 +342,14 @@ impl WarmDisks {
     /// Build a pool of `total_disks` pristine drives for `cfg`'s seed,
     /// geometry, and seek curve.
     pub fn new(cfg: &SimConfig, total_disks: u32) -> WarmDisks {
-        let rot_ns = cfg.geometry.rotation_ns();
+        let model = Disk::new(cfg.geometry.clone(), cfg.seek, 0);
+        let rot_ns = model.rotation_ns();
         WarmDisks {
             seed: cfg.seed,
             geometry: cfg.geometry.clone(),
             seek: cfg.seek,
             disks: (0..total_disks as u64)
-                .map(|i| {
-                    Disk::new(
-                        cfg.geometry.clone(),
-                        cfg.seek,
-                        spindle_phase(cfg.seed, i, rot_ns),
-                    )
-                })
+                .map(|i| model.sibling(spindle_phase(cfg.seed, i, rot_ns)))
                 .collect(),
         }
     }
@@ -570,15 +565,14 @@ impl<'t> Simulator<'t> {
         // the seed (splitmix64 over the disk index). A matching warm pool
         // already holds exactly these drives; a pool built for a larger
         // configuration serves smaller ones as a prefix.
-        let rot_ns = cfg.geometry.rotation_ns();
-        let cold_disk = |i: usize| {
-            Disk::new(
-                cfg.geometry.clone(),
-                cfg.seek,
-                spindle_phase(cfg.seed, i as u64, rot_ns),
-            )
+        let warm = warm.filter(|w| w.matches(&cfg));
+        let model = match warm.and_then(|w| w.disks.first()) {
+            Some(d) => d.sibling(0),
+            None => Disk::new(cfg.geometry.clone(), cfg.seek, 0),
         };
-        let disks: Vec<Disk> = match warm.filter(|w| w.matches(&cfg)) {
+        let rot_ns = model.rotation_ns();
+        let cold_disk = |i: usize| model.sibling(spindle_phase(cfg.seed, i as u64, rot_ns));
+        let disks: Vec<Disk> = match warm {
             Some(w) => (0..total_disks)
                 .map(|i| w.disks.get(i).cloned().unwrap_or_else(|| cold_disk(i)))
                 .collect(),

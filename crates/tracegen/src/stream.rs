@@ -5,9 +5,9 @@
 //! xoshiro256++ is one output function over a 256-bit state whose update
 //! is linear over GF(2), so the state any number of steps ahead is a fixed
 //! matrix times the current one. With AVX-512F, [`StreamRng`] fills the
-//! stream in blocks of eight lanes, each lane a contiguous segment of the
-//! block, and jumps every lane to its next segment through a precomputed
-//! GF(2) matrix (see [`lanes`]). It marks the rare words that can succeed
+//! stream in blocks of eight lanes, each lane a segment of the stream,
+//! and jumps every lane to its next segment through a precomputed GF(2)
+//! matrix (see [`lanes`]). It marks the rare words that can succeed
 //! a low-probability geometric trial, so [`StreamRng::geometric_trials`]
 //! skips the thousands of trials between them. Without AVX-512F the
 //! portable kernel steps the state in place, exactly as `SmallRng` does:
@@ -81,7 +81,7 @@ pub struct StreamRng {
 enum Source {
     /// The portable kernel: the state itself.
     Scalar(State),
-    /// The AVX-512F kernel's current block of lanes, held inline (65 KiB)
+    /// The AVX-512F kernel's current block of lanes, held inline (130 KiB)
     /// rather than boxed: a heap block allocated and freed around every
     /// generation run fragmented the heap and raised the benchmark's peak
     /// RSS at some seeds, while the stream lives on the caller's stack.
@@ -182,6 +182,18 @@ pub(crate) mod tests {
         (p * (1u64 << 53) as f64).ceil() as u64
     }
 
+    /// Words per lane and per block of the AVX-512F kernel: the draws
+    /// below are sized to cross lanes and blocks. Only the portable kernel
+    /// runs elsewhere, where the sizes merely set the draw counts.
+    #[cfg(target_arch = "x86_64")]
+    const LANE: usize = lanes::L;
+    #[cfg(target_arch = "x86_64")]
+    const BLOCK: usize = lanes::W * lanes::L;
+    #[cfg(not(target_arch = "x86_64"))]
+    const LANE: usize = 2048;
+    #[cfg(not(target_arch = "x86_64"))]
+    const BLOCK: usize = 8 * LANE;
+
     /// Runs `f` with a constructor for each kernel this CPU has (the
     /// portable one always, then the detected one if it differs), naming
     /// the kernels that ran.
@@ -202,9 +214,10 @@ pub(crate) mod tests {
             for seed in [0u64, 7, 0x7261_6964_0002] {
                 let mut a = new(seed);
                 let mut b = SmallRng::seed_from_u64(seed);
-                // Each round draws ≥ 100 words: 400 rounds span four
-                // 8192-word blocks, so more than three refills.
-                for round in 0..400 {
+                // Each round draws at least 99 words (five single draws
+                // and the shuffle's 94), so these rounds span more than
+                // four blocks: at least four refills.
+                for round in 0..4 * BLOCK / 99 + 1 {
                     assert_eq!(a.next_u64(), b.next_u64(), "{} round {round}", a.kernel());
                     assert_eq!(a.next_u32(), b.next_u32());
                     assert_eq!(a.gen_range(3u64..1_000), b.gen_range(3u64..1_000));
@@ -222,9 +235,9 @@ pub(crate) mod tests {
 
     /// `p` just below, at and just above the 2⁻⁹ candidate cut-off, the
     /// two trace presets' write-after-read `p`, a multiblock-length `p`,
-    /// and `p = 1`; `max` from no trial at all to past one block
-    /// (`L = 1024`, `W·L + 1 = 8193`). Every draw is followed by a raw
-    /// word so a position slip shows at once.
+    /// and `p = 1`; `max` from no trial at all, through one lane (`L`), to
+    /// past one block (`W·L + 1`) and several. Every draw is followed by a
+    /// raw word so a position slip shows at once.
     #[test]
     fn geometric_matches_trial_loop_around_the_cutoff() {
         let cut = 1.0 / 512.0;
@@ -246,7 +259,7 @@ pub(crate) mod tests {
         for_each_kernel("geometric_cutoff", |new| {
             for &p in &ps {
                 let ff = fail_from(p);
-                for max in [1, 2, 1024, 8193, 65_000] {
+                for max in [1, 2, LANE as u32, BLOCK as u32 + 1, 65_000] {
                     let mut a = new(11);
                     let mut b = SmallRng::seed_from_u64(11);
                     for round in 0..40 {

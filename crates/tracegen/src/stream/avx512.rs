@@ -1,5 +1,6 @@
 //! AVX-512F fill kernel: the eight lanes' states live one word per lane
-//! in four 512-bit registers, so one vector step advances every lane.
+//! in four 512-bit registers, so one vector step advances every lane and
+//! its eight outputs are one row of the block.
 //!
 //! This module is the workspace's only `unsafe` code: the
 //! `#[target_feature]` call, the vector stores and the register↔array
@@ -9,8 +10,7 @@ use super::lanes::{Block, CANDIDATE_BOUND, L, W};
 use super::State;
 use std::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_cmplt_epu64_mask, _mm512_rol_epi64, _mm512_set1_epi64,
-    _mm512_shuffle_i64x2, _mm512_slli_epi64, _mm512_storeu_si512, _mm512_unpackhi_epi64,
-    _mm512_unpacklo_epi64, _mm512_xor_si512,
+    _mm512_slli_epi64, _mm512_storeu_si512, _mm512_xor_si512,
 };
 
 /// Proof that this CPU supports AVX-512F: only [`Token::detect`] makes one.
@@ -51,10 +51,15 @@ unsafe fn fill_avx512(seeds: &[State; W], block: &mut Block) -> [State; W] {
     block.hits.fill(0);
     let out = block.words.as_mut_ptr();
     for i in (0..L).step_by(8) {
-        // rows[r] holds every lane's output at step i + r.
-        let mut rows = [_mm512_set1_epi64(0); 8];
-        for row in &mut rows {
-            *row = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+        // Byte r of `masks` marks the lanes whose step-(i + r) word is a
+        // candidate.
+        let mut masks = 0u64;
+        for r in 0..8 {
+            let row = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+            // SAFETY: `(i + r + 1)·W ≤ L·W = BLOCK`, so the unaligned
+            // 64-byte store of row `i + r` stays inside `block.words`.
+            unsafe { _mm512_storeu_si512(out.add((i + r) * W).cast::<__m512i>(), row) };
+            masks |= u64::from(_mm512_cmplt_epu64_mask(row, bound)) << (8 * r);
             let t = _mm512_slli_epi64::<17>(s1);
             s2 = _mm512_xor_si512(s2, s0);
             s3 = _mm512_xor_si512(s3, s1);
@@ -63,16 +68,8 @@ unsafe fn fill_avx512(seeds: &[State; W], block: &mut Block) -> [State; W] {
             s2 = _mm512_xor_si512(s2, t);
             s3 = _mm512_rol_epi64::<45>(s3);
         }
-        // After the transpose, rows[j] holds lane j's outputs at steps
-        // i..i+8: eight consecutive stream words.
-        transpose8x8(&mut rows);
-        for (j, row) in rows.iter().enumerate() {
-            let at = j * L + i;
-            // SAFETY: `at + 8 ≤ (W−1)·L + L = BLOCK`, so the unaligned
-            // 64-byte store stays inside `block.words`.
-            unsafe { _mm512_storeu_si512(out.add(at).cast::<__m512i>(), *row) };
-            let mask = _mm512_cmplt_epu64_mask(*row, bound);
-            block.hits[at / 64] |= u64::from(mask) << (at % 64);
+        if masks != 0 {
+            block.mark(i, masks);
         }
     }
     let lanes = |v: __m512i| -> [u64; W] {
@@ -81,40 +78,4 @@ unsafe fn fill_avx512(seeds: &[State; W], block: &mut Block) -> [State; W] {
     };
     let (e0, e1, e2, e3) = (lanes(s0), lanes(s1), lanes(s2), lanes(s3));
     std::array::from_fn(|j| [e0[j], e1[j], e2[j], e3[j]])
-}
-
-/// Transpose an 8×8 matrix of 64-bit words held as eight row vectors.
-#[target_feature(enable = "avx512f")]
-fn transpose8x8(r: &mut [__m512i; 8]) {
-    // Pairs within 128-bit chunks: t[2m] = (r[2m][2c], r[2m+1][2c]) in
-    // chunk c, t[2m+1] the odd columns.
-    let t = [
-        _mm512_unpacklo_epi64(r[0], r[1]),
-        _mm512_unpackhi_epi64(r[0], r[1]),
-        _mm512_unpacklo_epi64(r[2], r[3]),
-        _mm512_unpackhi_epi64(r[2], r[3]),
-        _mm512_unpacklo_epi64(r[4], r[5]),
-        _mm512_unpackhi_epi64(r[4], r[5]),
-        _mm512_unpacklo_epi64(r[6], r[7]),
-        _mm512_unpackhi_epi64(r[6], r[7]),
-    ];
-    // 0x88 picks chunks (0, 2) of each source, 0xDD chunks (1, 3).
-    let u = [
-        _mm512_shuffle_i64x2::<0x88>(t[0], t[2]),
-        _mm512_shuffle_i64x2::<0x88>(t[1], t[3]),
-        _mm512_shuffle_i64x2::<0xDD>(t[0], t[2]),
-        _mm512_shuffle_i64x2::<0xDD>(t[1], t[3]),
-        _mm512_shuffle_i64x2::<0x88>(t[4], t[6]),
-        _mm512_shuffle_i64x2::<0x88>(t[5], t[7]),
-        _mm512_shuffle_i64x2::<0xDD>(t[4], t[6]),
-        _mm512_shuffle_i64x2::<0xDD>(t[5], t[7]),
-    ];
-    r[0] = _mm512_shuffle_i64x2::<0x88>(u[0], u[4]);
-    r[1] = _mm512_shuffle_i64x2::<0x88>(u[1], u[5]);
-    r[2] = _mm512_shuffle_i64x2::<0x88>(u[2], u[6]);
-    r[3] = _mm512_shuffle_i64x2::<0x88>(u[3], u[7]);
-    r[4] = _mm512_shuffle_i64x2::<0xDD>(u[0], u[4]);
-    r[5] = _mm512_shuffle_i64x2::<0xDD>(u[1], u[5]);
-    r[6] = _mm512_shuffle_i64x2::<0xDD>(u[2], u[6]);
-    r[7] = _mm512_shuffle_i64x2::<0xDD>(u[3], u[7]);
 }

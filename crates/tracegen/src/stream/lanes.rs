@@ -2,26 +2,30 @@
 //! candidate bitmap.
 //!
 //! The stream is computed in blocks of `W × L` words. Lane `j` of a block
-//! covers the contiguous segment `[jL, (j+1)L)` of that block, so the
-//! buffer holds the stream in order. When a block is used up, lane 0
-//! resumes from lane `W−1`'s end state (the next block starts exactly
-//! there), and every other lane jumps its own end state ahead `(W−1)·L`
-//! steps through the precomputed GF(2) matrix `M^{(W−1)L}`.
+//! covers the segment `[jL, (j+1)L)` of that block, and the block is held
+//! row-major, as the kernel computes it: row `t` holds every lane's word
+//! at step `t`, so stream position `c = jL + t` sits at `words[tW + j]`
+//! ([`Block::word`]). When a block is used up, lane 0 resumes from lane
+//! `W−1`'s end state (the next block starts exactly there), and every
+//! other lane jumps its own end state ahead `(W−1)·L` steps through the
+//! precomputed GF(2) matrix `M^{(W−1)L}`.
 //!
 //! While a block is filled, the kernel marks the positions whose word is
-//! below 2⁵⁵. A geometric trial with `fail_from ≤ 2⁴⁴` (`p ≤ 2⁻⁹`) can
-//! only succeed on such a word, so [`Lanes::geometric_trials`] jumps from
-//! candidate to candidate instead of testing each of the ~1/p words
-//! between them.
+//! below 2⁵⁵, in stream order. A geometric trial with `fail_from ≤ 2⁴⁴`
+//! (`p ≤ 2⁻⁹`) can only succeed on such a word, so
+//! [`Lanes::geometric_trials`] jumps from candidate to candidate instead
+//! of testing each of the ~1/p words between them.
 
 use super::{avx512, step, trial_loop, State};
 use std::sync::OnceLock;
 
 /// Lanes per block.
 pub(super) const W: usize = 8;
-/// Words per lane per block. The block is `W·L` words = 64 KiB and lives
-/// inline in `StreamRng`, on the generator's stack.
-pub(super) const L: usize = 1024;
+/// Words per lane per block. The block is `W·L` words = 128 KiB and lives
+/// inline in `StreamRng`, on the generator's stack. Longer lanes mean
+/// fewer jumps per word: 2048 walked candidates about 8% faster than
+/// 1024, and 4096 only about 5% faster again for twice the stack.
+pub(super) const L: usize = 2048;
 const BLOCK: usize = W * L;
 /// Candidate bitmap words per block (bit `c % 64` of word `c / 64` marks
 /// position `c`).
@@ -87,29 +91,61 @@ fn xor_into(acc: &mut State, x: &State) {
     }
 }
 
-/// One block of the stream and its candidate bitmap.
+/// One block of the stream and its candidate bitmap. Aligned so that each
+/// row of `W` words is one cache line.
 #[derive(Clone)]
+#[repr(align(64))]
 pub(super) struct Block {
+    /// Row-major: lane `j`'s word at step `t` is `words[t·W + j]`.
     pub(super) words: [u64; BLOCK],
-    /// Bit `c` set ⇔ `words[c] < CANDIDATE_BOUND`.
+    /// Bit `c` set ⇔ `word(c) < CANDIDATE_BOUND`.
     pub(super) hits: [u64; HIT_WORDS],
+}
+
+impl Block {
+    /// The word at stream position `c` of the block.
+    #[inline(always)]
+    fn word(&self, c: usize) -> u64 {
+        self.words[c % L * W + c / L]
+    }
+
+    /// Mark the candidates of the 8-step group at step `i` (a multiple of
+    /// 8): bit `j` of byte `r` of `masks` flags lane `j`'s word at step
+    /// `i + r`.
+    #[inline(always)]
+    pub(super) fn mark(&mut self, i: usize, masks: u64) {
+        debug_assert!(i.is_multiple_of(8) && i < L, "group at step {i}");
+        // Transpose the 8×8 bit matrix, so byte `j` holds lane `j`'s
+        // flags for steps `i..i+8`: eight consecutive stream positions.
+        let mut x = masks;
+        let t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+        x ^= t ^ (t << 28);
+        for j in 0..W {
+            let c = j * L + i;
+            self.hits[c / 64] |= ((x >> (8 * j)) & 0xff) << (c % 64);
+        }
+    }
 }
 
 /// The stream as blocks of lanes.
 #[derive(Clone)]
 pub(super) struct Lanes {
     token: avx512::Token,
-    /// The current block, in stream order.
+    /// The current block.
     block: Block,
     /// Next unread position in `block`.
     pos: usize,
-    /// Each lane's state at the end of its segment of the current block.
-    ends: [State; W],
+    /// Each lane's start state for the next block.
+    seeds: [State; W],
 }
 
 impl Lanes {
-    /// The stream from `s`; the first block's lane seeds are `s` stepped
-    /// `0, L, 2L, …` times.
+    /// The stream from `s`, its first block not yet filled: the lane
+    /// seeds are `s` stepped `0, L, 2L, …` times.
     pub(super) fn new(mut s: State, token: avx512::Token) -> Lanes {
         let mut seeds = [s; W];
         for seed in &mut seeds[1..] {
@@ -118,29 +154,28 @@ impl Lanes {
             }
             *seed = s;
         }
-        let mut lanes = Lanes {
+        Lanes {
             token,
             block: Block {
                 words: [0; BLOCK],
                 hits: [0; HIT_WORDS],
             },
-            pos: 0,
-            ends: [[0; 4]; W],
-        };
-        lanes.ends = avx512::fill(token, &seeds, &mut lanes.block);
-        lanes
+            pos: BLOCK,
+            seeds,
+        }
     }
 
-    /// Move on to the next block: lane 0 continues from lane `W−1`'s end,
-    /// lane `j ≥ 1` from its own end jumped `(W−1)·L` steps.
+    /// Fill the next block, then seed the one after it: lane 0 continues
+    /// from lane `W−1`'s end, lane `j ≥ 1` from its own end jumped
+    /// `(W−1)·L` steps.
     #[cold]
     fn refill(&mut self) {
+        let ends = avx512::fill(self.token, &self.seeds, &mut self.block);
         let jump = JumpTable::get();
-        let mut seeds = [self.ends[W - 1]; W];
-        for (seed, end) in seeds.iter_mut().zip(&self.ends).skip(1) {
+        self.seeds = [ends[W - 1]; W];
+        for (seed, end) in self.seeds.iter_mut().zip(&ends).skip(1) {
             *seed = jump.apply(end);
         }
-        self.ends = avx512::fill(self.token, &seeds, &mut self.block);
         self.pos = 0;
     }
 
@@ -149,7 +184,7 @@ impl Lanes {
         if self.pos == BLOCK {
             self.refill();
         }
-        let x = self.block.words[self.pos];
+        let x = self.block.word(self.pos);
         self.pos += 1;
         x
     }
@@ -190,7 +225,7 @@ impl Lanes {
                 if c >= end {
                     return None;
                 }
-                if self.block.words[c] >> 11 < fail_from {
+                if self.block.word(c) >> 11 < fail_from {
                     return Some(c);
                 }
                 bits &= bits - 1;
@@ -242,14 +277,100 @@ mod tests {
         let mut lanes = Lanes::new(seed_state(5), token);
         let mut b = SmallRng::seed_from_u64(5);
         for block in 0..4 {
-            if block > 0 {
-                lanes.refill();
-            }
+            lanes.refill();
             for c in 0..BLOCK {
                 let x = b.next_u64();
-                assert_eq!(lanes.block.words[c], x, "block {block} word {c}");
+                assert_eq!(lanes.block.word(c), x, "block {block} word {c}");
                 let marked = lanes.block.hits[c / 64] >> (c % 64) & 1 == 1;
                 assert_eq!(marked, x < CANDIDATE_BOUND, "block {block} bit {c}");
+            }
+        }
+    }
+
+    /// The words at every lane's first and last step, against `SmallRng`,
+    /// through [`Block::word`] and at their row-major places.
+    #[test]
+    fn block_words_at_lane_starts_and_ends_match_the_scalar_stream() {
+        let Some(token) = avx512::Token::detect() else {
+            println!("lane_starts_and_ends: avx512f not detected, skipped");
+            return;
+        };
+        let mut lanes = Lanes::new(seed_state(17), token);
+        let mut b = SmallRng::seed_from_u64(17);
+        for block in 0..3 {
+            lanes.refill();
+            let stream: Vec<u64> = (0..BLOCK).map(|_| b.next_u64()).collect();
+            for j in 0..W {
+                for c in [j * L, j * L + L - 1] {
+                    assert_eq!(lanes.block.word(c), stream[c], "block {block} word {c}");
+                }
+                assert_eq!(lanes.block.words[j], stream[j * L]);
+                assert_eq!(lanes.block.words[(L - 1) * W + j], stream[j * L + L - 1]);
+            }
+        }
+    }
+
+    /// Read words from `a` and `b` in step until `a` is at position `at`.
+    fn park(a: &mut Lanes, b: &mut SmallRng, at: usize) {
+        while a.pos != at {
+            assert_eq!(a.next_u64(), b.next_u64(), "parking at {at}");
+        }
+    }
+
+    /// Walks that start in lane `j` and end in lane `j + 1` of the same
+    /// block: neighbours in the stream, not in memory. Each all-failing
+    /// walk ends a fixed distance past the boundary; each `p = 0.000125`
+    /// walk is capped at one lane's length.
+    #[test]
+    fn geometric_from_one_lane_into_the_next() {
+        let Some(token) = avx512::Token::detect() else {
+            println!("lane_crossings: avx512f not detected, skipped");
+            return;
+        };
+        let ff = fail_from(0.000125);
+        for lead in [1, 2, 7, 64] {
+            // Each walk ends before the next one's start (`lead ≤ 64`).
+            for (fail_from, max) in [(0, 2 * lead as u32 + 1), (ff, L as u32)] {
+                let mut a = Lanes::new(seed_state(13), token);
+                let mut b = SmallRng::seed_from_u64(13);
+                for block in 0..2 {
+                    for j in 0..W - 1 {
+                        park(&mut a, &mut b, (j + 1) * L - lead);
+                        assert_eq!(
+                            a.geometric_trials(fail_from, max),
+                            trials_oracle(&mut b, fail_from, max)
+                        );
+                        if fail_from == 0 {
+                            assert_eq!(a.pos, (j + 1) * L + lead, "block {block} lane {j}");
+                        }
+                        assert_eq!(a.next_u64(), b.next_u64(), "block {block} lane {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `next_u64` right after a walk that stops exactly on a lane boundary,
+    /// and one word short of it.
+    #[test]
+    fn next_u64_after_a_walk_that_stops_on_a_lane_boundary() {
+        let Some(token) = avx512::Token::detect() else {
+            println!("lane_stops: avx512f not detected, skipped");
+            return;
+        };
+        for lead in [1, 2, 7, 64] {
+            for short in [0, 1] {
+                let mut a = Lanes::new(seed_state(19), token);
+                let mut b = SmallRng::seed_from_u64(19);
+                for block in 0..2 {
+                    for j in 1..W {
+                        park(&mut a, &mut b, j * L - lead - short);
+                        let max = lead as u32 + 1;
+                        assert_eq!(a.geometric_trials(0, max), trials_oracle(&mut b, 0, max));
+                        assert_eq!(a.pos, j * L - short, "block {block} lane {j}");
+                        assert_eq!(a.next_u64(), b.next_u64(), "block {block} lane {j}");
+                    }
+                }
             }
         }
     }
