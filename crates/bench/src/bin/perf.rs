@@ -13,32 +13,13 @@
 //! perf --check BENCH_10.json    # measure, then gate against a baseline
 //! perf --check BENCH_10.json --tolerance 0.5  # cross-machine smoke gate
 //! perf --sweep-grid 24          # time sweep::run_all on a mixed grid
-//! perf --par-run 8              # add the partitioned-run axis at 8 threads
-//! perf --par-run 4 --min-speedup 2.0          # multi-core CI speedup gate
 //! perf --fleet-run 4            # fleet axis at 4 VA-level threads
 //! perf --fleet-run 0            # disable the fleet axis (on by default)
 //! ```
 //!
-//! `--par-run T` adds a second axis on a *multi-array* Trace 1 workload
-//! (13 redundancy groups at the default `--par-scale`): each organization
-//! is timed serial and then partitioned across `T` intra-run threads, and
-//! the two reports are compared **byte for byte** — any divergence aborts
-//! the harness, so every BENCH_8.json row doubles as a determinism proof.
-//! Parallel rows report events/sec as *serial-equivalent* events over
-//! parallel wall time, plus two instrumentation columns: replay
-//! amplification (partition events ÷ merged serial-order events — the
-//! pre-split arrival feed keeps it ≤ 1.0, and the harness hard-fails above
-//! 1.1) and the flat-encoded journal bytes streamed to the merge.
-//! `--min-speedup F` additionally fails the run when no organization's
-//! partitioned wall-clock speedup reaches `F` — for CI on multi-core
-//! hosts; 1-CPU hosts should omit it and gate on amplification alone.
-//!
 //! The **fleet axis** (on by default, `--fleet-run T` to set the thread
 //! count, `0` to disable) times the 16-VA heterogeneous demo fleet serial
-//! and VA-parallel, byte-compares the two fleet reports, and hard-fails if
-//! the fleet's replay amplification exceeds 1.1 — the router's pre-split
-//! guarantees exactly 1.0 (every routed arrival is owned by one VA feed),
-//! so anything above it means the fleet layer started re-executing work.
+//! and VA-parallel, and byte-compares the two fleet reports.
 //!
 //! All simulated results (mean response times) are independent of this
 //! harness: it times the same deterministic runs the science binaries use.
@@ -83,7 +64,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: perf [--scale F] [--reps N] [--seed N] [--out PATH]\n\
          \t[--check BASELINE.json] [--tolerance F] [--sweep-grid N] [--threads N]\n\
-         \t[--par-run T] [--par-scale F] [--min-speedup F] [--fleet-run T|0]"
+         \t[--fleet-run T|0]"
     );
     std::process::exit(2)
 }
@@ -122,13 +103,7 @@ fn main() {
     let seed: u64 = args.parse("--seed", 7);
     let out_path = args.get("--out").unwrap_or("BENCH_10.json").to_string();
     let tolerance: f64 = args.parse("--tolerance", 0.15);
-    let par_threads: usize = args.parse("--par-run", 0);
     let fleet_threads: usize = args.parse("--fleet-run", 2);
-    let par_scale: f64 = args.parse("--par-scale", 0.02);
-    let min_speedup: f64 = args.parse("--min-speedup", 0.0);
-    if !(par_scale > 0.0 && par_scale <= 1.0) {
-        die(&format!("--par-scale {par_scale} out of range (0, 1]"));
-    }
 
     eprintln!("generating workload (trace2 @ scale {scale}, seed {seed})…");
     let trace = SynthSpec::trace2().scaled(scale).generate();
@@ -192,22 +167,8 @@ fn main() {
                 events_per_sec: eps,
                 peak_queue_depth: stats.peak_pending as u64,
                 mean_response_ms: mean_ms,
-                replay_amplification: 1.0,
-                journal_bytes: 0,
             });
         }
-    }
-    if par_threads > 0 {
-        par_axis(
-            par_threads,
-            par_scale,
-            reps,
-            seed,
-            min_speedup,
-            &mut runs,
-            &mut total_events,
-            &mut total_wall,
-        );
     }
     if fleet_threads > 0 {
         fleet_axis(
@@ -270,162 +231,10 @@ fn main() {
     }
 }
 
-/// The `--par-run T` axis: serial vs partitioned execution of a
-/// multi-array Trace 1 workload (13 redundancy groups). Every partitioned
-/// run is compared byte-for-byte against its serial reference; any
-/// divergence aborts the harness. Parallel rows count *serial-equivalent*
-/// events (the useful work) over parallel wall time, and carry the
-/// partitioned-path instrumentation: replay amplification (partition
-/// events ÷ merged serial-order events; the pre-split arrival feed keeps
-/// it ≤ 1.0, and anything above 1.1 aborts) and the flat-encoded journal
-/// bytes streamed to the merge. With `min_speedup > 0`, the axis fails
-/// unless some organization's wall-clock speedup reaches it.
-#[allow(clippy::too_many_arguments)]
-fn par_axis(
-    threads: usize,
-    scale: f64,
-    reps: usize,
-    seed: u64,
-    min_speedup: f64,
-    runs: &mut Vec<PerfRun>,
-    total_events: &mut u64,
-    total_wall: &mut f64,
-) {
-    eprintln!("\npartitioned-run axis (trace1 @ scale {scale}, {threads} intra-run threads)…");
-    let trace = SynthSpec::trace1().scaled(scale).generate();
-    eprintln!("{} requests\n", trace.len());
-    eprintln!(
-        "{:<16} {:>6} {:>10} {:>9} {:>12} {:>8} {:>6} {:>10}",
-        "run", "cache", "events", "wall s", "events/s", "speedup", "amp", "journal B"
-    );
-    let mut best_speedup = 0.0f64;
-    for org in organizations() {
-        for cached in [false, true] {
-            // Serial reference: the timing baseline *and* the byte-identity
-            // oracle for the partitioned run.
-            let mut serial: Option<(f64, raidsim::RunStats, f64)> = None;
-            let mut serial_bytes = String::new();
-            for _ in 0..reps {
-                let sim = match Simulator::try_new(config(org, cached, seed), &trace) {
-                    Ok(sim) => sim,
-                    Err(e) => die(&format!("{} cached={cached}: {e}", org.label())),
-                };
-                let t0 = Instant::now();
-                let (report, stats) = sim.run_instrumented();
-                let wall = t0.elapsed().as_secs_f64();
-                if serial.as_ref().is_none_or(|(w, _, _)| wall < *w) {
-                    serial = Some((wall, stats, report.mean_response_ms()));
-                    serial_bytes = format!("{report:#?}");
-                }
-            }
-            let Some((s_wall, s_stats, s_mean)) = serial else {
-                unreachable!("reps >= 1")
-            };
-            let mut par: Option<(f64, raidsim::RunStats)> = None;
-            for _ in 0..reps {
-                let sim = match Simulator::try_new(config(org, cached, seed), &trace) {
-                    Ok(sim) => sim,
-                    Err(e) => die(&format!("{} cached={cached}: {e}", org.label())),
-                };
-                let t0 = Instant::now();
-                let (report, stats, partitioned) = sim.run_par_instrumented(threads);
-                let wall = t0.elapsed().as_secs_f64();
-                if !partitioned {
-                    die(&format!(
-                        "{} cached={cached}: a 13-array run fell back to serial",
-                        org.label()
-                    ));
-                }
-                if format!("{report:#?}") != serial_bytes {
-                    die(&format!(
-                        "{} cached={cached}: parallel report diverged from serial — \
-                         determinism violation",
-                        org.label()
-                    ));
-                }
-                if par.as_ref().is_none_or(|(w, _)| wall < *w) {
-                    par = Some((wall, stats));
-                }
-            }
-            let Some((p_wall, p_stats)) = par else {
-                unreachable!("reps >= 1")
-            };
-            if p_stats.replay_amplification > 1.1 {
-                die(&format!(
-                    "{} cached={cached}: replay amplification {:.3} exceeds the 1.1 budget — \
-                     partitions are executing events the merge does not account for",
-                    org.label(),
-                    p_stats.replay_amplification
-                ));
-            }
-            best_speedup = best_speedup.max(s_wall / p_wall);
-            let events = s_stats.events_processed;
-            for (label, wall, stats, speedup) in [
-                (format!("{}@ma", org.label()), s_wall, &s_stats, 1.0),
-                (
-                    format!("{}@par{threads}", org.label()),
-                    p_wall,
-                    &p_stats,
-                    s_wall / p_wall,
-                ),
-            ] {
-                let eps = events as f64 / wall;
-                eprintln!(
-                    "{:<16} {:>6} {:>10} {:>9.3} {:>12.0} {:>7.2}x {:>6.3} {:>10}",
-                    label,
-                    cached,
-                    events,
-                    wall,
-                    eps,
-                    speedup,
-                    stats.replay_amplification,
-                    stats.journal_bytes
-                );
-                // Per-partition breakdown (arrival ownership, journal
-                // volume): the direct view of whether the pre-split kept
-                // partition work proportional to partition events.
-                for (i, p) in stats.partitions.iter().enumerate() {
-                    eprintln!(
-                        "  └ p{i} arrays {}..{}: {} arrivals, {} events, {} frames, {} journal B",
-                        p.arrays.0,
-                        p.arrays.1,
-                        p.arrivals_owned,
-                        p.events_processed,
-                        p.journal_frames,
-                        p.journal_bytes
-                    );
-                }
-                *total_events += events;
-                *total_wall += wall;
-                runs.push(PerfRun {
-                    label,
-                    cached,
-                    requests: trace.len() as u64,
-                    events,
-                    wall_secs: wall,
-                    events_per_sec: eps,
-                    peak_queue_depth: stats.peak_pending as u64,
-                    mean_response_ms: s_mean,
-                    replay_amplification: stats.replay_amplification,
-                    journal_bytes: stats.journal_bytes,
-                });
-            }
-        }
-    }
-    if min_speedup > 0.0 && best_speedup < min_speedup {
-        die(&format!(
-            "best partitioned speedup {best_speedup:.2}x is below the --min-speedup \
-             {min_speedup:.2}x gate at {threads} threads"
-        ));
-    }
-}
-
 /// The fleet axis: the 16-VA heterogeneous demo fleet, serial and
 /// VA-parallel at `threads` workers. The parallel report must be
-/// byte-identical to the serial one, and the fleet's replay amplification
-/// is gated at ≤ 1.1 (the router's pre-split makes it exactly 1.0; any
-/// excess means VA feeds started overlapping). Rows count serial events
-/// over each mode's wall time.
+/// byte-identical to the serial one. Rows count serial events over each
+/// mode's wall time.
 fn fleet_axis(
     threads: usize,
     reps: usize,
@@ -458,13 +267,6 @@ fn fleet_axis(
     if format!("{s_report:#?}") != format!("{p_report:#?}") {
         die("fleet: parallel report diverged from serial — determinism violation");
     }
-    if p_stats.replay_amplification > 1.1 {
-        die(&format!(
-            "fleet: replay amplification {:.3} exceeds the 1.1 budget — \
-             VA arrival feeds are overlapping",
-            p_stats.replay_amplification
-        ));
-    }
     let requests: u64 = s_report.requests_completed;
     let events = s_stats.events_processed;
     // Fleet-wide mean response: completion-weighted across VAs.
@@ -475,8 +277,8 @@ fn fleet_axis(
         .sum::<f64>()
         / requests.max(1) as f64;
     eprintln!(
-        "{:<16} {:>6} {:>10} {:>9} {:>12} {:>8} {:>6}",
-        "run", "cache", "events", "wall s", "events/s", "speedup", "amp"
+        "{:<16} {:>6} {:>10} {:>9} {:>12} {:>8}",
+        "run", "cache", "events", "wall s", "events/s", "speedup"
     );
     for (label, wall, stats, speedup) in [
         ("fleet@serial".to_string(), s_wall, &s_stats, 1.0),
@@ -489,8 +291,8 @@ fn fleet_axis(
     ] {
         let eps = events as f64 / wall;
         eprintln!(
-            "{:<16} {:>6} {:>10} {:>9.3} {:>12.0} {:>7.2}x {:>6.3}",
-            label, false, events, wall, eps, speedup, stats.replay_amplification
+            "{:<16} {:>6} {:>10} {:>9.3} {:>12.0} {:>7.2}x",
+            label, false, events, wall, eps, speedup
         );
         *total_events += events;
         *total_wall += wall;
@@ -503,8 +305,6 @@ fn fleet_axis(
             events_per_sec: eps,
             peak_queue_depth: stats.peak_pending as u64,
             mean_response_ms: mean_ms,
-            replay_amplification: stats.replay_amplification,
-            journal_bytes: stats.journal_bytes,
         });
     }
 }

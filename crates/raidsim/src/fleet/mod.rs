@@ -20,10 +20,10 @@
 //! - [`run`]: [`run_fleet`] — per-tenant substreams routed through
 //!   [`tracegen::route`] into one master arrival stream, pre-split by VA
 //!   via [`tracegen::Trace::split_arrivals`] (every record lands in exactly
-//!   one VA: zero replay amplification), then simulated serially or
-//!   work-stealing-parallel across VAs with per-disk-class warm-start
-//!   pools. Results merge in VA index order, so the parallel run is
-//!   byte-identical to the serial one.
+//!   one VA), then simulated serially or work-stealing-parallel across VAs
+//!   on the sweep's pool, with per-disk-class warm-start pools. Results
+//!   merge in VA index order, so the parallel run is byte-identical to the
+//!   serial one.
 //! - [`report`]: [`FleetReport`] — per-VA [`crate::SimReport`]s, per-tenant
 //!   response statistics (mean + p99 from exact Welford/histogram merges),
 //!   fleet throughput in events per *simulated* second (never wall-clock,

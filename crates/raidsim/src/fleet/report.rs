@@ -132,14 +132,9 @@ impl FleetReport {
 
         let partitions: Vec<PartStats> = outcomes
             .iter()
-            .enumerate()
-            .map(|(v, o)| PartStats {
-                // The fleet's partition unit is the VA: span [v, v+1).
-                arrays: (v as u32, v as u32 + 1),
+            .map(|o| PartStats {
                 arrivals_owned: o.arrivals,
                 events_processed: o.stats.events_processed,
-                journal_frames: 0,
-                journal_bytes: 0,
             })
             .collect();
         let stats = RunStats {
@@ -150,12 +145,6 @@ impl FleetReport {
                 .max()
                 .unwrap_or(0),
             partitions,
-            journal_bytes: 0,
-            // Every routed arrival is owned by exactly one VA feed (the
-            // pre-split is disjoint and exhaustive), so the fleet executes
-            // precisely the serial event count: amplification 1 by
-            // construction. The perf harness gates this at ≤ 1.1.
-            replay_amplification: 1.0,
         };
 
         let vas = plan

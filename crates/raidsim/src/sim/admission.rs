@@ -11,20 +11,12 @@ use super::*;
 
 impl<'t> Simulator<'t> {
     pub(super) fn on_arrive(&mut self) {
-        // The feed already advanced the clock to the record's arrival time
-        // (`Simulator::next_step`); no chain of Arrive events exists, so a
-        // partition consumes exactly its own pre-split records and never
-        // sees a foreign arrival.
-        let idx = self.pop_feed();
+        // `Simulator::next_step` already advanced the clock to the record's
+        // arrival time; no chain of Arrive events exists.
+        let idx = self.next_arrival;
+        self.next_arrival += 1;
         let rec = self.trace.records[idx];
         let array = rec.disk / self.n;
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.is_arrive = true;
-            debug_assert!(
-                (p.lo..p.hi).contains(&array),
-                "pre-split leaked a foreign arrival into this partition"
-            );
-        }
 
         if self.cfg.cache.is_none() {
             // Track-buffer admission control (non-cached controllers stage
@@ -83,9 +75,6 @@ impl<'t> Simulator<'t> {
             class,
         });
         self.inflight += 1;
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.inflight_delta += 1;
-        }
         if self.event_log.is_some() {
             let line = format!(
                 "{{\"t\":{},\"ev\":\"arrive\",\"req\":{},\"read\":{},\"arrive_ns\":{},\"disk\":{},\"block\":{},\"nblocks\":{}}}",

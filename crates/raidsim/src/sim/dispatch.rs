@@ -64,14 +64,9 @@ impl<'t> Simulator<'t> {
         // Queue depths at the dispatch decision, the op about to be served
         // included.
         if self.sched_stats {
-            let mut depths = [0.0f64; 3];
             for band in Band::ALL {
                 let d = self.queues[g].band_len(band) as f64;
                 self.sched_qdepth[band.index()].push(d);
-                depths[band.index()] = d;
-            }
-            if let Some(p) = self.par.as_deref_mut() {
-                p.note.pushes.push(StatPush::QDepth(depths));
             }
         }
         let arm = self.disks[g].current_cylinder();
@@ -96,9 +91,6 @@ impl<'t> Simulator<'t> {
         if self.sched_stats {
             let seek_cyl = self.disks[gdisk as usize].arm_distance(block) as f64;
             self.sched_seek_cyl.push(seek_cyl);
-            if let Some(p) = self.par.as_deref_mut() {
-                p.note.pushes.push(StatPush::Seek(seek_cyl));
-            }
         }
         let timing = self.disks[gdisk as usize].plan(now, block, nblocks, kind);
         self.disk_counts.add(gdisk as usize, 1);

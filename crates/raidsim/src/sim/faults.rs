@@ -18,9 +18,8 @@
 //!                               latent error──▶ DataLoss (sticky)
 //! ```
 //!
-//! All state is per-array (plus per-disk latent-error sets), so a
-//! partitioned run owning an array range resolves its faults exactly as the
-//! serial loop does; cross-array totals are plain sums.
+//! All state is per-array (plus per-disk latent-error sets); cross-array
+//! totals are plain sums.
 
 use super::*;
 use std::collections::BTreeSet;
@@ -43,7 +42,6 @@ pub(super) enum FaultKind {
 const REBUILD_BATCH_BLOCKS: u64 = 64;
 
 /// Per-array failure/rebuild lifecycle state.
-#[derive(Clone)]
 pub(super) struct ArrayFault {
     /// First disk failure ever seen by this array (exposure reporting).
     pub(super) failed_at: Option<SimTime>,
@@ -101,7 +99,6 @@ impl ArrayFault {
 
 /// Per-array background-scrub sweep state: one sequential pass over every
 /// disk of the array, disk-major.
-#[derive(Clone)]
 pub(super) struct ScrubState {
     /// Local disk index currently under verification.
     pub(super) disk: u32,
@@ -143,8 +140,7 @@ pub(super) struct FaultState {
     /// Per physical disk: blocks currently marred by an undiscovered latent
     /// sector error.
     pub(super) latent: Vec<BTreeSet<u64>>,
-    // Cross-array totals (per-array events sum into them; the parallel
-    // merge adds partition totals into a zeroed parent).
+    // Cross-array totals (per-array events sum into them).
     pub(super) disk_failures: u64,
     pub(super) spares_used: u64,
     pub(super) rebuild_blocks: u64,

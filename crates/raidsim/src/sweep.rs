@@ -1,11 +1,12 @@
-//! Parallel parameter sweeps.
+//! Parallel parameter sweeps, and the one work-stealing pool they and the
+//! fleet runner share.
 //!
 //! Every experiment in the paper is a grid of independent simulations
 //! (organizations × array sizes × cache sizes × …). Runs share no mutable
 //! state, so they parallelize perfectly across threads; the immutable
 //! inputs — the parsed trace and a warm pool of calibrated disk models —
 //! are built once and shared by reference across every point instead of
-//! being rebuilt per point.
+//! being rebuilt per point. A single simulation always runs serially.
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
@@ -31,8 +32,71 @@ impl<'a> NamedRun<'a> {
     }
 }
 
-/// Run every sweep point, `threads`-wide, returning reports in input order.
-/// `threads = 0` uses the machine's available parallelism.
+/// Run `job(i)` for every `i` in `0..jobs` on up to `threads` workers
+/// (`0` uses the machine's available parallelism) and return the results
+/// in index order. This is the one parallel pool in the workspace: sweeps
+/// ([`run_all`]) and fleets ([`crate::run_fleet`]) both run on it.
+///
+/// Work distribution is a work-stealing loop over an atomic next-index
+/// cursor: each worker repeatedly claims the lowest unclaimed job. Unlike
+/// static chunking — where one chunk of slow jobs (e.g. RAID5 at high
+/// load) idles every other worker while its owner grinds through it — the
+/// stragglers end up spread across whoever is free, so wall time tracks
+/// the total work, not the unluckiest chunk. Workers collect results
+/// locally and the caller puts them back in index order, so which thread
+/// ran a job never shows in the output: for jobs that are pure functions
+/// of their index, every thread count returns the same values.
+///
+/// With one worker (or at most one job) the jobs run on the calling thread
+/// and no thread is spawned. A panicking job panics the caller: the worker
+/// dies, and its panic is re-raised when the scope joins it.
+pub(crate) fn ordered_map<T: Send>(
+    jobs: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        threads
+    };
+    let workers = threads.min(jobs);
+    if workers <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        // Relaxed: the cursor publishes no data, only
+                        // indices; results come back through `join`.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break local;
+                        }
+                        local.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // Re-raise a worker panic on the caller's thread.
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    // The cursor hands out every index exactly once.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(done.iter().enumerate().all(|(k, &(i, _))| k == i));
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Run every sweep point, `threads`-wide on `ordered_map`'s pool,
+/// returning the labelled reports in input order. `threads = 0` uses the
+/// machine's available parallelism.
 ///
 /// A point whose configuration fails [`Simulator::try_new`] — or whose
 /// simulation panics outright (say, a malformed trace indexing past the
@@ -43,29 +107,11 @@ impl<'a> NamedRun<'a> {
 /// results were dropped, and the join re-raised the panic so *every* point
 /// of the sweep was lost.
 ///
-/// Work distribution is a work-stealing loop over an atomic next-index
-/// cursor: each worker repeatedly claims the lowest unclaimed run. Unlike
-/// static chunking — where one chunk of slow runs (e.g. RAID5 at high
-/// load) idles every other worker while its owner grinds through it — the
-/// stragglers end up spread across whoever is free, so wall time tracks
-/// the total work, not the unluckiest chunk.
-///
 /// Which *thread* executes a run never affects its result: every run is an
-/// independent, seed-determined simulation, and results are written back
+/// independent, seed-determined simulation, and the pool returns results
 /// by input index, so the output is bit-identical to a serial sweep in the
 /// same order.
-/// One sweep point's labelled outcome.
-type Outcome = (String, Result<SimReport, String>);
-
 pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<SimReport, String>)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    };
-    let workers = threads.min(runs.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-
     // Warm-start pools, keyed by *disk class*: disk models are a pure
     // function of (seed, geometry, seek, index), so every grid point
     // agreeing on those three shares one pool sized for the class's
@@ -93,57 +139,27 @@ pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<Sim
     }
     let warm_for = |cfg: &SimConfig| pools.iter().map(|(_, w)| w).find(|w| w.matches(cfg));
 
-    // Workers return locally collected (index, result) pairs; a worker
-    // panic propagates at scope join. Indexed collection keeps the merge
-    // lock-free without sharing mutable slots across threads.
-    let mut out: Vec<Option<(String, Result<SimReport, String>)>> = Vec::with_capacity(runs.len());
-    out.resize_with(runs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Outcome)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(run) = runs.get(i) else { break };
-                        // Contain a panicking point to its own result slot;
-                        // the worker lives on to claim the remaining points.
-                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            match warm_for(&run.config) {
-                                Some(w) => {
-                                    Simulator::try_new_warm(run.config.clone(), run.trace, w)
-                                }
-                                None => Simulator::try_new(run.config.clone(), run.trace),
-                            }
-                            .map(|s| s.run())
-                        }))
-                        .unwrap_or_else(|payload| {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "opaque panic payload".into());
-                            Err(format!("simulation panicked: {msg}"))
-                        });
-                        local.push((i, (run.label.clone(), report)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // Re-raise a worker panic on the caller's thread.
-            let local = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (i, result) in local {
-                out[i] = Some(result);
+    ordered_map(runs.len(), threads, |i| {
+        let run = &runs[i];
+        // Contain a panicking point to its own result slot; the worker
+        // lives on to claim the remaining points.
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            match warm_for(&run.config) {
+                Some(w) => Simulator::try_new_warm(run.config.clone(), run.trace, w),
+                None => Simulator::try_new(run.config.clone(), run.trace),
             }
-        }
-    });
-
-    out.into_iter()
-        // simlint::allow(panic-policy): the cursor hands out every index exactly once and worker panics propagate above, so every slot is filled
-        .map(|r| r.expect("missing sweep result"))
-        .collect()
+            .map(|s| s.run())
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".into());
+            Err(format!("simulation panicked: {msg}"))
+        });
+        (run.label.clone(), report)
+    })
 }
 
 #[cfg(test)]
@@ -151,6 +167,75 @@ mod tests {
     use super::*;
     use crate::config::Organization;
     use tracegen::SynthSpec;
+
+    /// The pool returns every job's result in index order at any thread
+    /// count, including more workers than jobs, and runs each job once —
+    /// also when a later job finishes first: on two or more workers, job 0
+    /// waits until job 1 has finished (job 1 must be on another worker,
+    /// since job 0's worker is blocked).
+    #[test]
+    fn pool_returns_results_in_index_order() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, Mutex};
+        let expect: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for threads in [0, 1, 2, 3, 8, 64] {
+            let calls = AtomicUsize::new(0);
+            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let forced = threads >= 2;
+            let out = ordered_map(expect.len(), threads, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if forced && i == 0 {
+                    rx.lock().unwrap().recv().unwrap();
+                }
+                if forced && i == 1 {
+                    tx.lock().unwrap().send(()).unwrap();
+                }
+                i * i
+            });
+            assert_eq!(out, expect, "order broken at {threads} threads");
+            assert_eq!(calls.into_inner(), expect.len(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn pool_with_no_jobs_returns_nothing() {
+        for threads in [0, 1, 4] {
+            let out: Vec<usize> = ordered_map(0, threads, |i| i);
+            assert!(out.is_empty());
+        }
+    }
+
+    /// More threads than jobs: one worker per job at most, every result
+    /// still in place.
+    #[test]
+    fn pool_with_more_threads_than_jobs() {
+        let out = ordered_map(3, 16, |i| format!("job{i}"));
+        assert_eq!(out, ["job0", "job1", "job2"]);
+    }
+
+    /// A panicking job is not swallowed: the worker's panic reaches the
+    /// caller, at one thread (inline) and on spawned workers alike.
+    #[test]
+    fn pool_reraises_a_job_panic_on_the_caller() {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for threads in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                ordered_map(6, threads, |i| {
+                    assert_ne!(i, 4, "job 4 fails");
+                    i
+                })
+            });
+            let payload = caught.expect_err("the job panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("job 4 fails"), "{threads} threads: {msg:?}");
+        }
+        std::panic::set_hook(hook);
+    }
 
     #[test]
     fn parallel_sweep_matches_serial_runs() {

@@ -43,14 +43,6 @@ pub struct EventId {
     gen: u32,
 }
 
-impl EventId {
-    /// Slot index, for engine-side per-event bookkeeping (e.g. mapping a
-    /// pending event to its schedule ordinal while recording).
-    pub(crate) fn slot_index(self) -> usize {
-        self.slot as usize
-    }
-}
-
 /// One heap node: the ordering key and the slot that owns the payload.
 #[derive(Clone, Copy)]
 struct Node {
@@ -588,7 +580,7 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_ms(2), 1)));
         for i in 0..8 {
             let id = q.schedule(SimTime::from_ms(3 + i), 2 + i as u32);
-            assert_ne!(id.slot_index(), 0, "retired slot reissued");
+            assert_ne!(id.slot, 0, "retired slot reissued");
         }
         assert!(!q.cancel(last));
         assert_eq!(q.len(), 8);

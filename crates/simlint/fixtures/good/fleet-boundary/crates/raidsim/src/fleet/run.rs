@@ -1,7 +1,9 @@
-// The runner is the sanctioned home for cross-VA machinery: both the
-// fleet-boundary and par-safety rules carve out fleet/run.rs.
-use std::sync::atomic::AtomicUsize;
+// The runner hands whole virtual arrays to the sweep's pool as jobs and
+// merges the owned outcomes it gets back; it holds no shared state itself.
+pub struct VaOutcome {
+    pub completed: u64,
+}
 
-pub fn cursor() -> AtomicUsize {
-    AtomicUsize::new(0)
+pub fn merge(outcomes: Vec<VaOutcome>) -> u64 {
+    outcomes.iter().map(|o| o.completed).sum()
 }

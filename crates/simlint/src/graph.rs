@@ -27,11 +27,7 @@ pub(crate) struct FnDef {
     pub(crate) name: String,
     /// Index into the workspace's `FileUnit` list.
     pub(crate) file: usize,
-    pub(crate) line: u32,
-    pub(crate) col: u32,
-    /// Token-index range of the body braces `[open, close]`; `None` for
-    /// bodyless trait-method declarations.
-    pub(crate) body: Option<(usize, usize)>,
+    /// Calls in the body (none for a bodyless trait-method declaration).
     pub(crate) calls: Vec<CallSite>,
 }
 
@@ -83,9 +79,6 @@ pub(crate) fn extract_fns(unit: &FileUnit, file_idx: usize) -> Vec<FnDef> {
         defs.push(FnDef {
             name: name.to_string(),
             file: file_idx,
-            line: name_tok.line,
-            col: name_tok.col,
-            body,
             calls,
         });
         // Continue *inside* the body too: nested fns become their own defs
@@ -131,41 +124,6 @@ pub(crate) fn name_index(defs: &[FnDef]) -> std::collections::BTreeMap<&str, Vec
     map
 }
 
-/// Def indices reachable from the `entries` names by following call edges,
-/// resolving each call to *every* def bearing its name (conservative
-/// over-approximation). `ignore` names are never followed — they are the
-/// ubiquitous method names (`push`, `get`, …) whose matches would be
-/// coincidences.
-pub(crate) fn reachable(
-    defs: &[FnDef],
-    entries: &[String],
-    ignore: &[String],
-) -> std::collections::BTreeSet<usize> {
-    let index = name_index(defs);
-    let mut seen = std::collections::BTreeSet::new();
-    let mut work: Vec<usize> = Vec::new();
-    for e in entries {
-        for &i in index.get(e.as_str()).into_iter().flatten() {
-            if seen.insert(i) {
-                work.push(i);
-            }
-        }
-    }
-    while let Some(i) = work.pop() {
-        for call in &defs[i].calls {
-            if ignore.contains(&call.name) {
-                continue;
-            }
-            for &j in index.get(call.name.as_str()).into_iter().flatten() {
-                if seen.insert(j) {
-                    work.push(j);
-                }
-            }
-        }
-    }
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +147,7 @@ mod tests {
         assert_eq!(a_calls, vec!["b", "d"]);
         let b_calls: Vec<&str> = defs[1].calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(b_calls, vec!["e"], "`if (…)`-style keywords are not calls");
-        assert!(defs[2].body.is_none(), "trait declarations have no body");
+        assert!(defs[2].calls.is_empty(), "trait declarations have no body");
     }
 
     #[test]
@@ -203,21 +161,5 @@ mod tests {
         assert_eq!(names, vec!["live"]);
         let calls: Vec<&str> = defs[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(calls, vec!["helper"], "macro bang calls are not edges");
-    }
-
-    #[test]
-    fn reachability_follows_names_conservatively() {
-        let u = unit(
-            "fn entry() { step(); }\n\
-             fn step() { leaf(); ignored(); }\n\
-             fn leaf() {}\n\
-             fn ignored() { never() }\n\
-             fn never() {}\n\
-             fn island() { leaf(); }\n",
-        );
-        let defs = extract_fns(&u, 0);
-        let seen = reachable(&defs, &["entry".into()], &["ignored".into()]);
-        let names: Vec<&str> = seen.iter().map(|&i| defs[i].name.as_str()).collect();
-        assert_eq!(names, vec!["entry", "step", "leaf"]);
     }
 }

@@ -43,7 +43,7 @@ OPTIONS:
 
 With no PATHS the whole workspace is analyzed: the sim-core crates under
 the strict profile, tests/ and crates/bench under the relaxed profile, and
-the cross-file rules (journal-effect, layer-boundary) over the function
+the cross-file rule (layer-boundary) over the function
 graph, minus the committed baseline. With explicit PATHS only the per-file
 rules run on those paths. A site opts out with
 `// simlint::allow(<rule>): <reason>` on the offending or preceding line;

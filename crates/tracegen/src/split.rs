@@ -1,7 +1,7 @@
 //! Group-indexed views over a trace's arrival stream.
 //!
-//! The parallel simulator partitions a run by redundancy group: each
-//! partition owns a contiguous range of arrays and must consume exactly the
+//! The fleet runner splits one routed arrival stream by virtual array: each
+//! VA owns a contiguous range of disks and must consume exactly the
 //! arrivals addressed to it, in global trace order, without scanning the
 //! arrivals it does not own. [`Trace::split_arrivals`] computes that view
 //! once, up front: for every group, the (sorted, therefore order-preserving)
@@ -37,7 +37,7 @@ impl ArrivalSplit {
     }
 
     /// Move one group's index list out (leaves it empty) — lets each
-    /// partition take ownership of its own list without cloning.
+    /// group's consumer take ownership of its own list without cloning.
     #[inline]
     pub fn take_group(&mut self, g: usize) -> Vec<u32> {
         std::mem::take(&mut self.groups[g])

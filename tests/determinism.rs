@@ -14,7 +14,7 @@
 
 use raidsim::{
     CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, ParityPlacement, SimConfig,
-    Simulator,
+    Simulator, SparingMode,
 };
 use tracegen::{SynthSpec, Trace};
 
@@ -255,5 +255,108 @@ fn cache_eviction_paths_match_recorded_hashes() {
             "{} {size_mb} MB: eviction-path report diverged from the recorded hash",
             org.label()
         );
+    }
+}
+
+/// Run `cfg` twice: the two reports must serialize byte-identically, and
+/// every request must complete — a read of data lost beyond redundancy
+/// completes degenerately and is counted in `lost_reads`, never dropped.
+fn assert_replays_and_completes(cfg: SimConfig, trace: &Trace, what: &str) {
+    let a = Simulator::new(cfg.clone(), trace).run();
+    let b = Simulator::new(cfg, trace).run();
+    let bytes = format!("{a:#?}");
+    assert_eq!(format!("{b:#?}"), bytes, "{what}: replay diverged");
+    let lost = a.faults.as_ref().map_or(0, |f| f.lost_reads);
+    assert_eq!(
+        a.requests_completed,
+        trace.len() as u64,
+        "{what}: requests neither completed nor counted lost ({lost} lost reads)"
+    );
+}
+
+/// A mid-run disk failure with online rebuild on one array of a 13-array
+/// Trace 1 run: aborts, degraded re-plans, rebuild interference, and the
+/// per-window (healthy/degraded/rebuilding) response accumulators, which
+/// receive pushes from every array, replay byte-identically for every
+/// redundant organization, cached and not.
+#[test]
+fn fault_injected_multi_array_run_replays_byte_identically() {
+    let trace = SynthSpec::trace1().scaled(0.001).generate();
+    for org in organizations() {
+        if org == Organization::Base {
+            continue; // no redundancy: a failure is not survivable
+        }
+        for cached in [false, true] {
+            let mut cfg = config(org, cached, 7);
+            cfg.fault = Some(FaultConfig {
+                disk_failure: Some(DiskFailure {
+                    array: 1,
+                    disk: 0,
+                    at_ms: 2_000,
+                }),
+                spare: true,
+                rebuild_rate_mbps: 4,
+                ..FaultConfig::default()
+            });
+            assert_replays_and_completes(cfg, &trace, &format!("{} cached={cached}", org.label()));
+        }
+    }
+}
+
+/// The full lifecycle fault matrix — latent sector errors, a background
+/// scrub, failures on two different arrays, both sparing modes — engaged
+/// at once on a three-array run. Small disks keep the scrub sweep (which
+/// the run drains to completion) inside milliseconds of simulated time.
+#[test]
+fn lifecycle_fault_matrix_replays_byte_identically() {
+    let geometry = diskmodel::DiskGeometry {
+        cylinders: 2,
+        ..diskmodel::DiskGeometry::default()
+    };
+    let trace = SynthSpec {
+        name: "matrix".into(),
+        seed: 0xFA57,
+        n_disks: 12,
+        blocks_per_disk: geometry.blocks_per_disk(),
+        n_requests: 600,
+        duration_secs: 8.0,
+        busy_speedup: 1.0,
+        ..SynthSpec::trace2()
+    }
+    .generate();
+    for org in [
+        Organization::Mirror,
+        Organization::Raid5 { striping_unit: 1 },
+        Organization::Raid4 { striping_unit: 1 },
+        Organization::ParityStriping {
+            placement: ParityPlacement::Middle,
+        },
+    ] {
+        for sparing in [SparingMode::Hot, SparingMode::Distributed] {
+            let mut cfg = SimConfig::with_organization(org);
+            cfg.geometry = geometry.clone();
+            cfg.data_disks_per_array = 4;
+            cfg.seed = 7;
+            cfg.fault = Some(FaultConfig {
+                disk_failure: Some(DiskFailure {
+                    array: 1,
+                    disk: 1,
+                    at_ms: 1_000,
+                }),
+                second_failure: Some(DiskFailure {
+                    array: 2,
+                    disk: 0,
+                    at_ms: 3_000,
+                }),
+                spare: true,
+                spare_count: 1,
+                sparing,
+                rebuild_rate_mbps: 2,
+                latent_rate_per_hour: 2_000.0,
+                scrub_rate_mbps: 4,
+                ..FaultConfig::default()
+            });
+            assert_replays_and_completes(cfg, &trace, &format!("{} {sparing:?}", org.label()));
+        }
     }
 }

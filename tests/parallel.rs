@@ -1,145 +1,28 @@
-//! Parallel-execution fidelity: a partitioned run must be a *perfect*
-//! stand-in for the serial event loop. Not statistically close — byte
-//! identical, for every organization, cache mode, fault scenario, and
+//! Parallel-execution fidelity. A single simulation always runs
+//! serially; the only parallelism is the work-stealing pool that sweeps
+//! and fleets share, which runs whole independent simulations side by
+//! side. Its output must be *byte identical* to a serial run at every
 //! thread count, because the determinism guarantee (tests/determinism.rs)
-//! is what makes the paper's organization comparisons meaningful and the
-//! parallel path must not weaken it.
+//! is what makes the paper's organization comparisons meaningful.
 //!
-//! The serial report string is the ground truth; `run_par` must reproduce
-//! it exactly whether it actually partitioned (multi-array traces) or fell
-//! back (one array, one thread, non-partitionable observability).
+//! The fleet splits one routed arrival stream by virtual array before it
+//! simulates anything, so the split itself must be exact: no record lost,
+//! duplicated, or reordered.
 
-use diskmodel::DiskGeometry;
-use raidsim::{
-    CacheConfig, DiskFailure, FaultConfig, Organization, ParityPlacement, SimConfig, Simulator,
-    SparingMode,
-};
-use tracegen::{SynthSpec, Trace};
-
-fn organizations() -> [Organization; 5] {
-    [
-        Organization::Base,
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::Raid4 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ]
-}
-
-/// A multi-array workload: Trace 1's 130 disks make 13 arrays of N = 10,
-/// so partitions of 1, 3, and 16 threads all exercise different splits
-/// (16 > 13 must clamp to one array per partition).
-fn multi_array_trace() -> Trace {
-    SynthSpec::trace1().scaled(0.001).generate()
-}
-
-fn config(org: Organization, cached: bool) -> SimConfig {
-    let mut cfg = SimConfig::with_organization(org);
-    if cached {
-        cfg.cache = Some(CacheConfig::default());
-    }
-    cfg.seed = 7;
-    cfg
-}
-
-fn serial_report(cfg: SimConfig, trace: &Trace) -> String {
-    format!("{:#?}", Simulator::new(cfg, trace).run())
-}
-
-/// Run parallel, returning the serialized report and whether the run
-/// actually partitioned (vs. fell back to serial).
-fn par_report(cfg: SimConfig, trace: &Trace, threads: usize) -> (String, bool) {
-    let (report, _, parallel) = Simulator::new(cfg, trace).run_par_instrumented(threads);
-    (format!("{report:#?}"), parallel)
-}
-
-#[test]
-fn parallel_reports_are_byte_identical_to_serial() {
-    let trace = multi_array_trace();
-    for org in organizations() {
-        for cached in [false, true] {
-            let serial = serial_report(config(org, cached), &trace);
-            // 2/4/8 exercise the pre-split arrival feed at even splits,
-            // 3 at a ragged split, 16 > 13 clamps to one array per
-            // partition; threads = 1 (serial fallback) is covered by
-            // `one_thread_and_one_array_fall_back_to_serial`.
-            for threads in [2, 3, 4, 8, 16] {
-                let (par, parallel) = par_report(config(org, cached), &trace, threads);
-                assert!(
-                    parallel,
-                    "{} (cached={cached}): a 13-array run at {threads} threads must partition",
-                    org.label()
-                );
-                assert_eq!(
-                    par,
-                    serial,
-                    "{} (cached={cached}, threads={threads}): parallel report \
-                     diverged from serial",
-                    org.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn one_thread_and_one_array_fall_back_to_serial() {
-    let multi = multi_array_trace();
-    let serial = serial_report(config(Organization::Mirror, true), &multi);
-    let (par, parallel) = par_report(config(Organization::Mirror, true), &multi, 1);
-    assert!(!parallel, "threads=1 must not spawn partitions");
-    assert_eq!(par, serial);
-
-    // Trace 2 is one array of N = 10: nothing to partition.
-    let single = SynthSpec::trace2().scaled(0.02).generate();
-    let serial = serial_report(
-        config(Organization::Raid5 { striping_unit: 1 }, false),
-        &single,
-    );
-    let (par, parallel) = par_report(
-        config(Organization::Raid5 { striping_unit: 1 }, false),
-        &single,
-        8,
-    );
-    assert!(!parallel, "a single-array run must fall back to serial");
-    assert_eq!(par, serial);
-}
-
-/// Observability that reads global state mid-run (the periodic sampler)
-/// cannot partition; the fallback must still produce the same bytes.
-#[test]
-fn sampler_run_falls_back_but_stays_identical() {
-    let trace = multi_array_trace();
-    let sampled = |mut cfg: SimConfig| {
-        cfg.observability.sample_period_ms = Some(500);
-        cfg
-    };
-    let serial = serial_report(sampled(config(Organization::Base, false)), &trace);
-    let (par, parallel) = par_report(sampled(config(Organization::Base, false)), &trace, 3);
-    assert!(
-        !parallel,
-        "a sampled run observes all arrays and must not partition"
-    );
-    assert_eq!(par, serial);
-}
-
-/// The pre-split arrival feed is sound only if the split is an *exact*
+/// A pre-split arrival feed is sound only if the split is an *exact*
 /// partition of the global trace: every record lands in exactly one
 /// group (no loss, no duplication), groups preserve global arrival
 /// order, and each record lands in the group its array's owner mapping
-/// names. Exercised over random traces and the same contiguous
-/// array→partition mapping `run_par` builds, across array counts and
-/// thread counts.
+/// names. Exercised over random traces and contiguous array→group
+/// mappings (the shape of the fleet's VA spans), across array counts and
+/// group counts.
 mod presplit_prop {
     use proptest::prelude::*;
     use simkit::SimTime;
     use tracegen::{AccessType, Trace, TraceRecord};
 
-    /// Mirror of the runner's partitioning: arrays in contiguous ranges,
-    /// `threads` clamped to the array count, remainder spread one-per-range
-    /// from the front.
+    /// Arrays in contiguous, balanced ranges: `threads` clamped to the
+    /// array count, remainder spread one-per-range from the front.
     fn owner_of(arrays: u32, threads: usize) -> Vec<usize> {
         let nparts = threads.min(arrays as usize);
         let base = arrays as usize / nparts;
@@ -207,150 +90,32 @@ mod presplit_prop {
     }
 }
 
-/// A mid-run disk failure with online rebuild is wholly owned by the
-/// failed array's partition: aborts, degraded re-plans, and rebuild
-/// interference must all merge back byte-identically — including the
-/// per-window (healthy/degraded/rebuilding) response accumulators, which
-/// receive pushes from *every* partition in merged order.
-#[test]
-fn fault_injected_parallel_run_matches_serial() {
-    let trace = multi_array_trace();
-    for org in organizations() {
-        if org == Organization::Base {
-            continue; // no redundancy: a failure is not survivable
-        }
-        for cached in [false, true] {
-            let faulted = |mut cfg: SimConfig| {
-                cfg.fault = Some(FaultConfig {
-                    disk_failure: Some(DiskFailure {
-                        array: 1,
-                        disk: 0,
-                        at_ms: 2_000,
-                    }),
-                    spare: true,
-                    rebuild_rate_mbps: 4,
-                    ..FaultConfig::default()
-                });
-                cfg
-            };
-            let serial = serial_report(faulted(config(org, cached)), &trace);
-            for threads in [2, 4, 8, 16] {
-                let (par, parallel) = par_report(faulted(config(org, cached)), &trace, threads);
-                assert!(
-                    parallel,
-                    "{} (cached={cached}): a single injected disk failure is \
-                     partition-local and must not force the serial fallback",
-                    org.label()
-                );
-                assert_eq!(
-                    par,
-                    serial,
-                    "{} (cached={cached}, threads={threads}): fault-injected \
-                     parallel report diverged from serial",
-                    org.label()
-                );
-            }
-        }
-    }
-}
-
-/// The full lifecycle fault matrix — latent sector errors, a background
-/// scrub, an overlapping second failure, both sparing modes — engaged at
-/// once. Every piece of that machinery is per-array state (per-disk latent
-/// sets, per-array scrub cursors and spare pools, the `DataLoss` flag), so
-/// the run must still partition, and the merge must reproduce the serial
-/// bytes for every sparing mode and thread count. Small disks keep the
-/// scrub sweep (which the run drains to completion) inside milliseconds of
-/// simulated time.
-#[test]
-fn lifecycle_fault_matrix_parallel_matches_serial() {
-    let geometry = DiskGeometry {
-        cylinders: 2,
-        ..DiskGeometry::default()
-    };
-    let trace = SynthSpec {
-        name: "matrix".into(),
-        seed: 0xFA57,
-        n_disks: 12,
-        blocks_per_disk: geometry.blocks_per_disk(),
-        n_requests: 600,
-        duration_secs: 8.0,
-        busy_speedup: 1.0,
-        ..SynthSpec::trace2()
-    }
-    .generate();
-    for org in [
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::Raid4 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ] {
-        for sparing in [SparingMode::Hot, SparingMode::Distributed] {
-            let make = || {
-                let mut cfg = SimConfig::with_organization(org);
-                cfg.geometry = geometry.clone();
-                cfg.data_disks_per_array = 4;
-                cfg.seed = 7;
-                cfg.fault = Some(FaultConfig {
-                    disk_failure: Some(DiskFailure {
-                        array: 1,
-                        disk: 1,
-                        at_ms: 1_000,
-                    }),
-                    second_failure: Some(DiskFailure {
-                        array: 2,
-                        disk: 0,
-                        at_ms: 3_000,
-                    }),
-                    spare: true,
-                    spare_count: 1,
-                    sparing,
-                    rebuild_rate_mbps: 2,
-                    latent_rate_per_hour: 2_000.0,
-                    scrub_rate_mbps: 4,
-                    ..FaultConfig::default()
-                });
-                cfg
-            };
-            let serial = serial_report(make(), &trace);
-            for threads in [2, 3, 8] {
-                let (par, parallel) = par_report(make(), &trace, threads);
-                assert!(
-                    parallel,
-                    "{} ({sparing:?}): the lifecycle matrix is partition-local \
-                     and must not force the serial fallback",
-                    org.label()
-                );
-                assert_eq!(
-                    par,
-                    serial,
-                    "{} ({sparing:?}, threads={threads}): lifecycle-matrix \
-                     parallel report diverged from serial",
-                    org.label()
-                );
-            }
-        }
-    }
-}
-
-/// The fleet layer extends the guarantee one level up: work-stealing whole
-/// virtual arrays must reproduce the serial fleet bytes. The built-in demo
-/// fleet is the acceptance scenario — 16 VAs cycling all five
-/// organizations over two disk classes, six tenants, and a mid-run disk
-/// failure on va00 — so this pins byte-identity for the full heterogeneous
-/// matrix at 2, 3, and 8 VA-level threads, RunStats included (replay
-/// amplification is exactly 1.0 by construction: every routed arrival
-/// lands in exactly one VA).
+/// Work-stealing whole virtual arrays must reproduce the serial fleet
+/// bytes. The built-in demo fleet is the acceptance scenario — 16 VAs
+/// cycling all five organizations over two disk classes, six tenants, and
+/// a mid-run disk failure on va00 — so this pins byte-identity for the
+/// full heterogeneous matrix at 2, 3, and 8 VA-level threads, RunStats
+/// included. Every routed arrival lands in exactly one VA, so the VAs'
+/// arrival shares add up to the routed record count.
 #[test]
 fn fleet_parallel_matches_serial_bytes_at_every_thread_count() {
     let fleet = raidsim::FleetConfig::demo();
     let (serial_report, serial_stats) =
         raidsim::run_fleet(&fleet, 1).expect("the demo fleet runs serially");
+    let routed: u64 = fleet
+        .tenants
+        .iter()
+        .map(|t| ((t.demand_iops * fleet.duration_secs).ceil() as u64).max(1))
+        .sum();
+    let owned: u64 = serial_stats
+        .partitions
+        .iter()
+        .map(|p| p.arrivals_owned)
+        .sum();
+    assert_eq!(serial_stats.partitions.len(), fleet.arrays.len());
     assert_eq!(
-        serial_stats.replay_amplification, 1.0,
-        "fleet routing must not replay any arrival"
+        owned, routed,
+        "fleet routing must neither drop nor duplicate an arrival"
     );
     let serial = format!("{serial_report:#?}\n{serial_stats:#?}");
     for threads in [2, 3, 8] {

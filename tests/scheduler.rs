@@ -320,8 +320,7 @@ mod prop {
 /// recorded while they were still collected on every run: FNV-1a of the
 /// `{:?}`-formatted `SchedulerReport` (Trace 2 ×0.02, seed 7, two arrays
 /// of five data disks), cached and not. Collecting them only when the
-/// report attaches them must leave every value as it was, serially and
-/// through the partitioned runner's journal.
+/// report attaches them must leave every value as it was.
 const FCFS_OPT_IN_SCHEDULER_HASHES: [(usize, bool, u64); 10] = [
     (0, false, 0x2688_f686_e4f8_6192), // Base
     (0, true, 0x6e1c_fb55_6872_5f38),
@@ -343,16 +342,8 @@ fn fcfs_opt_in_scheduler_stats_match_recorded_values() {
         let mut cfg = config(orgs[i], cached, Discipline::Fcfs);
         cfg.data_disks_per_array = 5;
         cfg.observability.scheduler_stats = true;
-        let serial = Simulator::new(cfg.clone(), &trace).run();
-        let sched = format!("{:?}", serial.scheduler.expect("opt-in attaches stats"));
-        let (par, _, partitioned) = Simulator::new(cfg, &trace).run_par_instrumented(2);
-        assert!(partitioned, "two arrays at two threads must partition");
-        assert_eq!(
-            format!("{:?}", par.scheduler.expect("opt-in attaches stats")),
-            sched,
-            "{} cached={cached}: partitioned scheduler stats diverged",
-            orgs[i].label()
-        );
+        let report = Simulator::new(cfg, &trace).run();
+        let sched = format!("{:?}", report.scheduler.expect("opt-in attaches stats"));
         assert_eq!(
             fnv1a(sched.as_bytes()),
             want,
