@@ -13,6 +13,8 @@
 //! cargo run --release -p bench --bin ablations [-- --json PATH]
 //! ```
 
+#![expect(clippy::expect_used, reason = "driver code: stops on a broken run")]
+
 use raidsim::{CacheConfig, Discipline, Organization, SimConfig, Simulator};
 use raidtp_stats::Table;
 use tracegen::SynthSpec;

@@ -7,6 +7,11 @@
 //! RAIDTP_T1_SCALE=0.05 figures fig4   # smaller Trace 1 for quick runs
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "driver code: times runs by the wall clock"
+)]
+
 use bench::experiments::{Experiment, ALL};
 use bench::Workloads;
 

@@ -8,7 +8,7 @@
 //! future PRs from quietly slowing the hot path.
 //!
 //! ```text
-//! perf                          # measure, write BENCH_10.json
+//! perf                          # measure, write target/BENCH_10.json
 //! perf --scale 0.05 --reps 3    # smaller workload, best-of-3 timing
 //! perf --check BENCH_10.json    # measure, then gate against a baseline
 //! perf --check BENCH_10.json --tolerance 0.5  # cross-machine smoke gate
@@ -24,6 +24,12 @@
 //! All simulated results (mean response times) are independent of this
 //! harness: it times the same deterministic runs the science binaries use.
 
+#![expect(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "driver code: times runs by the wall clock and stops on a broken run"
+)]
+
 use bench::perf::{check, PerfReport, PerfRun};
 use raidsim::{
     run_all, run_fleet, CacheConfig, FleetConfig, NamedRun, Organization, ParityPlacement,
@@ -34,9 +40,45 @@ use tracegen::SynthSpec;
 
 const BENCH_ID: u64 = 10;
 
+/// Where a run writes its report unless `--out` says otherwise: under the
+/// build directory, never over a committed baseline.
+const DEFAULT_OUT: &str = "target/BENCH_10.json";
+
+/// Every option takes a value except `--help`/`-h`.
+const VALUE_OPTIONS: [&str; 9] = [
+    "--scale",
+    "--reps",
+    "--seed",
+    "--out",
+    "--check",
+    "--tolerance",
+    "--sweep-grid",
+    "--threads",
+    "--fleet-run",
+];
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// Refuse anything but known options with their values: an option the
+    /// harness does not know would otherwise be ignored, and the default
+    /// measurement would run (and write its report) in its place.
+    fn validate(&self) -> Result<(), String> {
+        let mut it = self.0.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--help" | "-h" => {}
+                opt if VALUE_OPTIONS.contains(&opt) => {
+                    if it.next().is_none() {
+                        return Err(format!("{opt} needs a value"));
+                    }
+                }
+                other => return Err(format!("unknown option {other}")),
+            }
+        }
+        Ok(())
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
@@ -92,6 +134,9 @@ fn config(org: Organization, cached: bool, seed: u64) -> SimConfig {
 
 fn main() {
     let args = Args(std::env::args().skip(1).collect());
+    if let Err(e) = args.validate() {
+        die(&e);
+    }
     if args.flag("--help") || args.flag("-h") {
         die("help requested");
     }
@@ -101,7 +146,7 @@ fn main() {
     }
     let reps: usize = args.parse("--reps", 1).max(1);
     let seed: u64 = args.parse("--seed", 7);
-    let out_path = args.get("--out").unwrap_or("BENCH_10.json").to_string();
+    let out_path = args.get("--out").unwrap_or(DEFAULT_OUT).to_string();
     let tolerance: f64 = args.parse("--tolerance", 0.15);
     let fleet_threads: usize = args.parse("--fleet-run", 2);
 
@@ -195,8 +240,8 @@ fn main() {
     );
 
     // Read the baseline *before* writing the new report: `--check` against
-    // the default `--out` path must gate on the committed numbers, not on
-    // the file this run just replaced them with.
+    // the `--out` path must gate on the old numbers, not on the file this
+    // run just replaced them with.
     let baseline = args.get("--check").map(|baseline_path| {
         let src = match std::fs::read_to_string(baseline_path) {
             Ok(s) => s,
@@ -208,6 +253,12 @@ fn main() {
         }
     });
 
+    let out_dir = std::path::Path::new(&out_path).parent();
+    if let Some(dir) = out_dir.filter(|d| !d.as_os_str().is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            die(&format!("cannot create {}: {e}", dir.display()));
+        }
+    }
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {
         die(&format!("cannot write {out_path}: {e}"));
     }
@@ -259,7 +310,6 @@ fn fleet_axis(
                 best = Some((wall, report, stats));
             }
         }
-        // simlint::allow(panic-policy): reps >= 1, so a best run exists
         best.expect("reps >= 1")
     };
     let (s_wall, s_report, s_stats) = timed(1);
@@ -343,4 +393,29 @@ fn sweep_grid(trace: &tracegen::Trace, n: usize, threads: usize, seed: u64) {
         wall,
         mean
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Args {
+        Args(list.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn unknown_options_and_missing_values_are_usage_errors() {
+        assert!(args(&[]).validate().is_ok());
+        assert!(
+            args(&["--scale", "0.1", "--reps", "3", "--out", "x.json", "-h"])
+                .validate()
+                .is_ok()
+        );
+        // A removed or misspelt option must not fall through to the
+        // default measurement.
+        let e = args(&["--par-run", "2"]).validate().unwrap_err();
+        assert!(e.contains("--par-run"), "{e}");
+        assert!(args(&["--scale", "0.1", "extra"]).validate().is_err());
+        assert!(args(&["--check"]).validate().is_err());
+    }
 }

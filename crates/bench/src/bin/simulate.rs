@@ -11,6 +11,11 @@
 //!
 //! Prints the report summary plus the per-disk utilization/access table.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "driver code: times runs by the wall clock"
+)]
+
 use raidsim::{
     run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, Organization,
     ParityPlacement, SimConfig, Simulator, SparingMode, SyncPolicy,

@@ -1148,7 +1148,7 @@ mod tests {
 
     #[test]
     fn ids_are_unique_and_ordered() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (id, _) in ALL.iter().filter(|(id, _)| *id != "fig7") {
             assert!(seen.insert(*id), "duplicate id {id}");
         }

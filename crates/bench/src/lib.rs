@@ -15,6 +15,12 @@
 //! the *shape* (orderings, crossovers, trends) is the reproduction target,
 //! and `EXPERIMENTS.md` records both sides per experiment.
 
+#![expect(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "driver code: experiments read their scale from the environment and stop on a failed run; only the simulated numbers must be deterministic"
+)]
+
 pub mod experiments;
 pub mod perf;
 

@@ -96,10 +96,43 @@ impl Discipline {
 
 /// A per-drive service discipline over queued operation tokens.
 ///
-/// See the module docs for the three-clause contract every implementation
-/// must obey (absolute bands, put-backs first, exactly-once without
-/// starvation).
-pub trait DiskScheduler {
+/// See the module docs for the contract every implementation must obey
+/// (absolute bands, put-backs first, exactly-once without starvation,
+/// aborts that do not move the arm). The trait is sealed: every discipline
+/// lives in this module, where the contract tests cover it, and the rest
+/// of the workspace only uses them.
+///
+/// ```compile_fail,E0277
+/// use diskmodel::{Band, Cylinder, DiskScheduler};
+///
+/// // A complete impl: the seal is the only thing that stops it.
+/// struct Lifo(Vec<(Band, u32)>);
+///
+/// impl DiskScheduler for Lifo {
+///     fn push(&mut self, band: Band, token: u32, _: Cylinder) {
+///         self.0.push((band, token));
+///     }
+///     fn put_back(&mut self, band: Band, token: u32, _: Cylinder) {
+///         self.0.push((band, token));
+///     }
+///     fn pop(&mut self, _: Cylinder) -> Option<(Band, u32)> {
+///         self.0.pop()
+///     }
+///     fn drain(&mut self) -> Vec<(Band, u32)> {
+///         std::mem::take(&mut self.0)
+///     }
+///     fn len(&self) -> usize {
+///         self.0.len()
+///     }
+///     fn foreground_len(&self) -> usize {
+///         self.0.len()
+///     }
+///     fn band_len(&self, _: Band) -> usize {
+///         0
+///     }
+/// }
+/// ```
+pub trait DiskScheduler: sealed::Sealed {
     /// Enqueue an operation targeting `cylinder`.
     fn push(&mut self, band: Band, token: u32, cylinder: Cylinder);
 
@@ -136,6 +169,15 @@ pub trait DiskScheduler {
 
     /// Queued operations in one band (per-band depth statistics).
     fn band_len(&self, band: Band) -> usize;
+}
+
+/// The private supertrait that seals [`DiskScheduler`] to this module.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Fcfs {}
+    impl Sealed for super::Sstf {}
+    impl Sealed for super::Scan {}
+    impl Sealed for super::SchedulerQueue {}
 }
 
 // ---------------------------------------------------------------------------

@@ -107,7 +107,10 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
     let mut resid_bw = Vec::with_capacity(fleet.arrays.len());
     let mut resid_cap = Vec::with_capacity(fleet.arrays.len());
     for va in &fleet.arrays {
-        // simlint::allow(panic-policy): validate() resolved every class name above
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() resolved every class name above"
+        )]
         let class = fleet.class(&va.disk_class).expect("validated class");
         let bpd = class.geometry.blocks_per_disk();
         max_bpd = max_bpd.max(bpd);

@@ -140,12 +140,12 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
             )),
         }
     }
+    #[expect(clippy::expect_used, reason = "every VA's class was pooled above")]
     let pool_of = |va: &super::alloc::VaPlan| {
         pools
             .iter()
             .find(|(name, ..)| *name == va.disk_class)
             .map(|(.., w)| w)
-            // simlint::allow(panic-policy): every VA's class was pooled above
             .expect("class pool exists")
     };
 

@@ -348,7 +348,7 @@ mod tests {
         assert_ne!(pd1, pd2);
         // Over one full rotation period the parity visits every disk except
         // the data disk itself.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for band in 0..5u64 {
             let (pd, _) = m.parity_of(band * 10);
             assert_ne!(pd, 0, "parity never lands on the data's own disk");
@@ -368,7 +368,7 @@ mod tests {
         let pinned = ParStripMap::new(4, 1100, ParityPlacement::Middle);
         let rotated = ParStripMap::new(4, 1100, ParityPlacement::MiddleRotated { band_blocks: 8 });
         let spread = |m: &ParStripMap| {
-            let mut disks = std::collections::HashSet::new();
+            let mut disks = std::collections::BTreeSet::new();
             for w in 0..m.area_blocks {
                 disks.insert(m.parity_of(w).0);
             }
@@ -389,7 +389,7 @@ mod tests {
                 660,
                 ParityPlacement::MiddleRotated { band_blocks: band },
             );
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for laddr in 0..m.logical_capacity() {
                 let (disk, block, pdisk, _) = m.locate_full(laddr);
                 prop_assert!(seen.insert((disk, block)));
@@ -406,7 +406,7 @@ mod tests {
             placement in proptest::sample::select(vec![ParityPlacement::Middle, ParityPlacement::End]),
         ) {
             let m = ParStripMap::new(n, 660, placement);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for laddr in 0..m.logical_capacity() {
                 let (disk, block) = m.locate(laddr);
                 prop_assert!(seen.insert((disk, block)));
@@ -422,10 +422,10 @@ mod tests {
         #[test]
         fn prop_groups_are_balanced(n in 2u32..8) {
             let m = ParStripMap::new(n, 660, ParityPlacement::End);
-            let mut members = std::collections::HashMap::new();
+            let mut members = std::collections::BTreeMap::new();
             for laddr in (0..m.logical_capacity()).step_by(m.area_blocks as usize) {
                 let (disk, _, group, _) = m.locate_full(laddr);
-                let set = members.entry(group).or_insert_with(std::collections::HashSet::new);
+                let set = members.entry(group).or_insert_with(std::collections::BTreeSet::new);
                 prop_assert!(set.insert(disk), "duplicate member disk in group {group}");
             }
             for (group, set) in members {

@@ -334,7 +334,10 @@ impl<'t> Simulator<'t> {
                 }
             }
             OpRole::DestageData => {
-                // simlint::allow(panic-policy): destage ops are created from a destage group; absence is a cache-scheduler bug worth a loud stop
+                #[expect(
+                    clippy::expect_used,
+                    reason = "destage ops are created from a destage group; absence is a cache-scheduler bug worth a loud stop"
+                )]
                 let dg = op.dgroup.expect("destage op lost its group");
                 self.dgroups.get_mut(dg).remaining -= 1;
                 if self.dgroups.get(dg).remaining == 0 {

@@ -505,7 +505,10 @@ impl<'t> Simulator<'t> {
                 }
             }
             OpRole::DestageData => {
-                // simlint::allow(panic-policy): same invariant as completion — a destage op always carries its group
+                #[expect(
+                    clippy::expect_used,
+                    reason = "same invariant as completion — a destage op always carries its group"
+                )]
                 let dg = op.dgroup.expect("destage op lost its group");
                 self.dgroups.get_mut(dg).remaining -= 1;
                 if self.dgroups.get(dg).remaining == 0 {

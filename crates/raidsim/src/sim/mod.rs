@@ -181,8 +181,11 @@ impl DiskOp {
     /// The parent request of an op whose role always has one (host reads
     /// and writes, RMW data ops, cache fetches, reconstruct reads).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "host-facing roles are constructed with a parent request; losing it is a scheduling bug that must stop the run, not skew the stats"
+    )]
     fn req_id(&self) -> u32 {
-        // simlint::allow(panic-policy): host-facing roles are constructed with a parent request; losing it is a scheduling bug that must stop the run, not skew the stats
         self.req.expect("host-facing op lost its parent request")
     }
 }

@@ -458,7 +458,10 @@ impl<'t> Simulator<'t> {
         self.plan.truncate(mark);
     }
 
-    #[allow(clippy::too_many_arguments)] // a plain op builder; a params struct would add noise
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a plain op builder; a params struct would add noise"
+    )]
     pub(super) fn data_op(
         &mut self,
         req: Option<u32>,

@@ -8,6 +8,12 @@
 //! are built once and shared by reference across every point instead of
 //! being rebuilt per point. A single simulation always runs serially.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one work-stealing pool: the only home of threads and synchronization"
+)]
+
 use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::sim::{Simulator, WarmDisks};

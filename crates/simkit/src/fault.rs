@@ -7,9 +7,11 @@
 //! [`FaultPlan::stream`] with a stable tag (such as a disk index) and get an
 //! independent [`FaultRng`] whose sequence is a pure function of
 //! `(plan seed, tag)`. That keeps fault-injected runs bit-for-bit
-//! reproducible and makes every draw attributable to the plan, which is what
-//! the `fault-rng` simlint rule enforces: only this module may call
-//! [`FaultRng::new`].
+//! reproducible and makes every draw attributable to the plan. The raw
+//! constructor `FaultRng::new` is private to this module, so rustc enforces
+//! that half; simlint's `fault-rng` rule confines stream *minting*
+//! ([`FaultPlan::latent_stream`], the `splitmix64` mixer) to the code that
+//! builds the streams once.
 
 use crate::time::SimTime;
 
@@ -25,9 +27,12 @@ fn splitmix64(mut z: u64) -> u64 {
 /// A deterministic xorshift64* generator for fault draws.
 ///
 /// Deliberately minimal: no distribution zoo, no global state, no `rand`
-/// dependency. Construct only inside `simkit::fault` (enforced by simlint's
-/// `fault-rng` rule); everywhere else, derive streams via
-/// [`FaultPlan::stream`].
+/// dependency. Only `simkit::fault` can seed one; everywhere else, derive
+/// streams via [`FaultPlan::stream`]:
+///
+/// ```compile_fail,E0624
+/// let _rng = simkit::FaultRng::new(7); // private to `simkit::fault`
+/// ```
 #[derive(Clone, Debug)]
 pub struct FaultRng {
     state: u64,
@@ -37,7 +42,7 @@ impl FaultRng {
     /// Seed a generator. The seed is passed through splitmix64 so that
     /// similar seeds (0, 1, 2, …) still give uncorrelated sequences, and a
     /// zero seed cannot produce the degenerate all-zero xorshift orbit.
-    pub fn new(seed: u64) -> FaultRng {
+    fn new(seed: u64) -> FaultRng {
         let mut state = splitmix64(seed);
         if state == 0 {
             state = 0x9E37_79B9_7F4A_7C15;

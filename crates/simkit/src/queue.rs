@@ -160,7 +160,7 @@ impl<E> EventQueue<E> {
     /// node; returns the removed node's slot.
     fn remove_at(&mut self, i: usize) -> u32 {
         let slot = self.heap[i].slot;
-        // simlint::allow(panic-policy): callers pass an index inside the heap
+        #[expect(clippy::expect_used, reason = "callers pass an index inside the heap")]
         let last = self.heap.pop().expect("remove from an empty heap");
         if i < self.heap.len() {
             if i > 0 && last.before(&self.heap[(i - 1) / 2]) {
@@ -194,7 +194,7 @@ impl<E> EventQueue<E> {
     fn release_slot(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         s.pos = NOT_QUEUED;
-        // simlint::allow(panic-policy): a queued slot always holds its event
+        #[expect(clippy::expect_used, reason = "a queued slot always holds its event")]
         let event = s.event.take().expect("queued slot without an event");
         if s.gen != u32::MAX {
             s.gen += 1;

@@ -5,8 +5,3 @@ pub fn eta(service_ns: u64, seek_ns: u64) -> u64 {
 pub fn transfer_ns(queued_blocks: u64, ns_per_block: u64) -> u64 {
     queued_blocks * ns_per_block
 }
-
-pub fn grace(deadline_ms: u64, blocks: u64) -> u64 {
-    // simlint::allow(unit-safety): fixture demonstrates the inline escape
-    deadline_ms + blocks
-}

@@ -7,7 +7,7 @@
 //! line number — so ordinary drift above the site does not invalidate it,
 //! while any edit to the waived line itself forces a fresh decision.
 //! Every waiver carries a mandatory `reason`; a reason-less entry is a
-//! parse error, same policy as the inline `simlint::allow` escape.
+//! parse error. The baseline is simlint's only escape hatch.
 //!
 //! `simlint --write-baseline` regenerates the file from the current
 //! denied findings (with placeholder reasons to be filled in before
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn warn_level_diags_are_not_baselined() {
-        let mut d = diag(Rule::UnusedAllow, "a.rs", "x");
+        let mut d = diag(Rule::UnitSafety, "a.rs", "x");
         d.level = Level::Warn;
         assert!(!render(&[d]).contains("[[waiver]]"));
     }

@@ -40,7 +40,7 @@ const NON_CALL_KEYWORDS: [&str; 10] = [
 /// Extract every non-test `fn` item of one file. `file_idx` is stored on
 /// each def so callers can map back to the unit.
 pub(crate) fn extract_fns(unit: &FileUnit, file_idx: usize) -> Vec<FnDef> {
-    let toks = &unit.lexed.tokens;
+    let toks = &unit.tokens;
     let mut defs = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -127,10 +127,9 @@ pub(crate) fn name_index(defs: &[FnDef]) -> std::collections::BTreeMap<&str, Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Profile;
 
     fn unit(src: &str) -> FileUnit {
-        FileUnit::new("crates/x/src/lib.rs".into(), src.into(), Profile::Strict)
+        FileUnit::new("crates/x/src/lib.rs".into(), src.into())
     }
 
     #[test]

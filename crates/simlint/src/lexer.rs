@@ -3,11 +3,9 @@
 //! `syn` is unavailable in this offline workspace, so analysis works on a
 //! purpose-built token stream: comments, string/char literals, lifetimes,
 //! and numeric literals are stripped exactly (none of them can carry a
-//! violation), while `simlint::allow` directives are harvested out of the
-//! comments. Getting this boundary exactly right is what makes the rules
-//! unspoofable: a `//` inside a string must not start a comment, a
-//! directive inside a string must not suppress anything, and a rule token
-//! inside a raw string must not fire.
+//! violation). Getting this boundary exactly right is what keeps the rules
+//! exact: a `//` inside a string must not start a comment (and hide the
+//! code after it), and a rule token inside a raw string must not fire.
 
 /// One lexical token that survives stripping: an identifier/keyword or a
 /// single punctuation character.
@@ -37,29 +35,11 @@ impl Token {
     }
 }
 
-/// A `simlint::allow(rule): reason` annotation found in a comment.
-#[derive(Clone, Debug)]
-pub(crate) struct AllowDirective {
-    pub(crate) line: u32,
-    pub(crate) col: u32,
-    pub(crate) rule: Option<crate::Rule>,
-    pub(crate) has_reason: bool,
-    pub(crate) used: bool,
-}
-
-pub(crate) struct Lexed {
-    pub(crate) tokens: Vec<Token>,
-    pub(crate) directives: Vec<AllowDirective>,
-}
-
 /// Tokenize `src`, stripping comments, strings, chars, lifetimes, and
-/// numeric literals — none of which can carry a violation — while
-/// harvesting `simlint::allow` directives out of the comments (line *and*
-/// block comments, so both annotation styles work).
-pub(crate) fn lex(src: &str) -> Lexed {
+/// numeric literals — none of which can carry a violation.
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
     let mut tokens = Vec::new();
-    let mut directives = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
@@ -78,26 +58,15 @@ pub(crate) fn lex(src: &str) -> Lexed {
 
     while i < b.len() {
         let c = b[i];
-        // Line comment (also harvests allow directives).
+        // Line comment.
         if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
-            let start = i;
-            let dline = line;
-            let dcol = col;
             while i < b.len() && b[i] != '\n' {
                 bump!();
             }
-            let text: String = b[start..i].iter().collect();
-            if let Some(d) = parse_directive(&text, dline, dcol) {
-                directives.push(d);
-            }
             continue;
         }
-        // Block comment, nested. Directives are harvested here too so a
-        // `/* simlint::allow(...) */` annotation is not silently inert.
+        // Block comment, nested.
         if c == '/' && i + 1 < b.len() && b[i + 1] == '*' {
-            let start = i;
-            let dline = line;
-            let dcol = col;
             let mut depth = 0usize;
             while i < b.len() {
                 if b[i] == '/' && i + 1 < b.len() && b[i + 1] == '*' {
@@ -114,10 +83,6 @@ pub(crate) fn lex(src: &str) -> Lexed {
                 } else {
                     bump!();
                 }
-            }
-            let text: String = b[start..i].iter().collect();
-            if let Some(d) = parse_directive(&text, dline, dcol) {
-                directives.push(d);
             }
             continue;
         }
@@ -226,7 +191,7 @@ pub(crate) fn lex(src: &str) -> Lexed {
         bump!();
     }
 
-    Lexed { tokens, directives }
+    tokens
 }
 
 /// Classify a possible string-literal start at `tail[0]`: returns
@@ -258,43 +223,4 @@ fn string_prefix(c: char, tail: &[char]) -> (bool, usize, Option<usize>) {
         }
         _ => (false, 0, None),
     }
-}
-
-pub(crate) fn parse_directive(comment: &str, line: u32, col: u32) -> Option<AllowDirective> {
-    let idx = comment.find("simlint::allow")?;
-    let rest = &comment[idx + "simlint::allow".len()..];
-    let rest = rest.trim_start();
-    let Some(stripped) = rest.strip_prefix('(') else {
-        return Some(AllowDirective {
-            line,
-            col,
-            rule: None,
-            has_reason: false,
-            used: false,
-        });
-    };
-    let Some(close) = stripped.find(')') else {
-        return Some(AllowDirective {
-            line,
-            col,
-            rule: None,
-            has_reason: false,
-            used: false,
-        });
-    };
-    let rule = crate::Rule::from_name(stripped[..close].trim());
-    let after = stripped[close + 1..].trim_start();
-    // Block-comment directives may carry a trailing `*/`; it is not part
-    // of the reason.
-    let after = after.strip_suffix("*/").unwrap_or(after);
-    let has_reason = after
-        .strip_prefix(':')
-        .is_some_and(|r| !r.trim().is_empty());
-    Some(AllowDirective {
-        line,
-        col,
-        rule,
-        has_reason,
-        used: false,
-    })
 }

@@ -2,11 +2,13 @@
 //!
 //! ```text
 //! cargo run -p simlint -- --deny                 # CI gate: everything denied
-//! cargo run -p simlint -- --warn hash-collection # demote one rule
+//! cargo run -p simlint -- --warn unit-safety     # demote one rule
 //! cargo run -p simlint -- --format sarif         # code-scanning output
 //! cargo run -p simlint -- --write-baseline       # snapshot current findings
 //! cargo run -p simlint -- path/to/file.rs        # explicit targets
 //! ```
+
+#![expect(clippy::expect_used, reason = "the lint driver, not simulation code")]
 
 use simlint::{
     analyze_paths, analyze_workspace, baseline, exit_code, to_json, to_sarif, Config, Level, Rule,
@@ -38,16 +40,18 @@ OPTIONS:
     --no-baseline      ignore the waiver file even if present
     --write-baseline   snapshot the current denied findings as the waiver
                        file (fill in the reasons before committing), then exit
-    --list-rules       print the rules and their default levels
+    --list-rules       print the rules
     -h, --help         this help
 
-With no PATHS the whole workspace is analyzed: the sim-core crates under
-the strict profile, tests/ and crates/bench under the relaxed profile, and
-the cross-file rule (layer-boundary) over the function
+Every rule is denied by default. With no PATHS the whole workspace is
+analyzed: the per-file rules over the sim-core crates ([surface] roots in
+simlint.toml) and the cross-file rule (layer-boundary) over their function
 graph, minus the committed baseline. With explicit PATHS only the per-file
-rules run on those paths. A site opts out with
-`// simlint::allow(<rule>): <reason>` on the offending or preceding line;
-accepted whole findings live in simlint.baseline.toml with reasons.";
+rules run on those paths. The one escape hatch is simlint.baseline.toml:
+accepted findings, each with a reason. The determinism rules rustc and
+clippy can express (hash collections, ambient nondeterminism, the library
+panic policy, threads and synchronization) live in clippy.toml and
+[workspace.lints] instead.";
 
 fn main() {
     match run() {
@@ -124,7 +128,7 @@ fn run() -> Result<i32, String> {
             "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 for r in RULES {
-                    println!("{:<16} (default: {})", r.name(), r.default_level().name());
+                    println!("{}", r.name());
                     println!("    {}", r.hint());
                 }
                 return Ok(0);

@@ -73,7 +73,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{graph::extract_fns, Profile};
+    use crate::graph::extract_fns;
 
     fn ws() -> WsConfig {
         WsConfig::parse(
@@ -89,7 +89,7 @@ mod tests {
     fn check(files: &[(&str, &str)]) -> Vec<FileMatch> {
         let units: Vec<FileUnit> = files
             .iter()
-            .map(|(p, s)| FileUnit::new(p.to_string(), s.to_string(), Profile::Strict))
+            .map(|(p, s)| FileUnit::new(p.to_string(), s.to_string()))
             .collect();
         let mut defs = Vec::new();
         for (i, u) in units.iter().enumerate() {

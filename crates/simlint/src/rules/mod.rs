@@ -1,9 +1,8 @@
 //! The cross-file (workspace) rule. Its pass takes the parsed
 //! [`crate::WsConfig`], the file units, and the extracted function graph,
-//! and returns raw matches as `(file index, rule, line, col)` — directive
-//! suppression and level handling happen later in the shared
-//! `finish_file` phase, so the escape hatches work identically for
-//! per-file and cross-file findings.
+//! and returns raw matches as `(file index, rule, line, col)` — level
+//! handling happens later in the shared `finish_file` phase, and the
+//! baseline applies to per-file and cross-file findings alike.
 
 pub(crate) mod layer_boundary;
 

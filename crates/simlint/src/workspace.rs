@@ -1,10 +1,9 @@
 //! Workspace-level analysis: configuration (`simlint.toml`) and the
-//! driver that runs the per-file rules over the strict + relaxed surfaces
-//! and the cross-file rules over the function graph.
+//! driver that runs the per-file rules over the linted roots and the
+//! cross-file rule over the function graph.
 
 use crate::{
-    finish_file, graph, per_file_matches, rules, toml, Config, Diagnostic, FileUnit, Profile,
-    RawMatch,
+    finish_file, graph, per_file_matches, rules, toml, Config, Diagnostic, FileUnit, RawMatch,
 };
 use std::path::Path;
 
@@ -34,13 +33,8 @@ pub struct UnitCfg {
 /// repository's actual layout so the tool works without a config file).
 #[derive(Clone, Debug)]
 pub struct WsConfig {
-    /// Roots linted under the strict profile (every rule).
-    pub strict_roots: Vec<String>,
-    /// Roots linted under the relaxed profile (hash-collection +
-    /// panic-policy, only in files that pin determinism hashes).
-    pub relaxed_roots: Vec<String>,
-    /// Identifiers marking a relaxed-profile file as hash-pinning.
-    pub hash_pin_markers: Vec<String>,
+    /// Roots whose `.rs` files are linted.
+    pub roots: Vec<String>,
     /// Ubiquitous method names never followed as call-graph edges.
     pub ignore_calls: Vec<String>,
     pub layers: LayerCfg,
@@ -54,7 +48,7 @@ fn strs(items: &[&str]) -> Vec<String> {
 impl Default for WsConfig {
     fn default() -> Self {
         WsConfig {
-            strict_roots: strs(&[
+            roots: strs(&[
                 "crates/simkit/src",
                 "crates/raidsim/src",
                 "crates/diskmodel/src",
@@ -62,8 +56,6 @@ impl Default for WsConfig {
                 "crates/iochannel/src",
                 "crates/tracegen/src",
             ]),
-            relaxed_roots: strs(&["tests", "crates/bench/src"]),
-            hash_pin_markers: strs(&["fnv1a"]),
             ignore_calls: strs(&[
                 "new",
                 "default",
@@ -141,13 +133,7 @@ impl WsConfig {
         let root = toml::parse(src)?;
         let mut ws = WsConfig::default();
 
-        let known_tables = [
-            "surface",
-            "relaxed",
-            "graph",
-            "layer-boundary",
-            "unit-safety",
-        ];
+        let known_tables = ["surface", "graph", "layer-boundary", "unit-safety"];
         for key in root.keys() {
             if !known_tables.contains(&key.as_str()) {
                 return Err(format!("simlint.toml: unknown table `[{key}]`"));
@@ -163,8 +149,7 @@ impl WsConfig {
             }
             Ok(())
         };
-        check_keys("surface", &["strict", "relaxed"])?;
-        check_keys("relaxed", &["hash_pin_markers"])?;
+        check_keys("surface", &["roots"])?;
         check_keys("graph", &["ignore_calls"])?;
         check_keys("layer-boundary", &["order", "modules"])?;
         check_keys("unit-safety", &["time_units", "quantity_units", "boundary"])?;
@@ -174,9 +159,7 @@ impl WsConfig {
                 *dst = a.to_vec();
             }
         };
-        arr("surface.strict", &mut ws.strict_roots);
-        arr("surface.relaxed", &mut ws.relaxed_roots);
-        arr("relaxed.hash_pin_markers", &mut ws.hash_pin_markers);
+        arr("surface.roots", &mut ws.roots);
         arr("graph.ignore_calls", &mut ws.ignore_calls);
 
         arr("layer-boundary.order", &mut ws.layers.order);
@@ -219,58 +202,49 @@ impl WsConfig {
 }
 
 /// Run the full workspace analysis rooted at `root`: per-file rules over
-/// the strict and relaxed surfaces, then the cross-file rule
-/// (`layer-boundary`) over the function graph of the strict files.
-/// Allow-directives and the meta-rules see the union, so a
-/// `// simlint::allow(layer-boundary): …` works like any other escape.
+/// the linted roots, then the cross-file rule (`layer-boundary`) over
+/// their function graph.
 pub fn analyze_workspace(
     root: &Path,
     ws: &WsConfig,
     cfg: &Config,
 ) -> Result<Vec<Diagnostic>, String> {
     let mut units: Vec<FileUnit> = Vec::new();
-    for (roots, profile) in [
-        (&ws.strict_roots, Profile::Strict),
-        (&ws.relaxed_roots, Profile::Relaxed),
-    ] {
-        for rel in roots {
-            let dir = root.join(rel);
-            if !dir.exists() {
-                continue;
-            }
-            let files = crate::collect_rs_files(&dir).map_err(|e| format!("{rel}: {e}"))?;
-            for file in files {
-                let display = file
-                    .strip_prefix(root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let src = std::fs::read_to_string(&file)
-                    .map_err(|e| format!("{}: {e}", file.display()))?;
-                units.push(FileUnit::new(display, src, profile));
-            }
+    for rel in &ws.roots {
+        let dir = root.join(rel);
+        if !dir.exists() {
+            continue;
+        }
+        let files = crate::collect_rs_files(&dir).map_err(|e| format!("{rel}: {e}"))?;
+        for file in files {
+            let display = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let src =
+                std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+            units.push(FileUnit::new(display, src));
         }
     }
 
     // Per-file pass.
     let mut raw: Vec<Vec<RawMatch>> = units.iter().map(|u| per_file_matches(u, ws)).collect();
 
-    // Function graph over the strict files, then the cross-file rule.
+    // Function graph, then the cross-file rule.
     let mut defs = Vec::new();
     for (i, u) in units.iter().enumerate() {
-        if u.profile == Profile::Strict {
-            defs.extend(graph::extract_fns(u, i));
-        }
+        defs.extend(graph::extract_fns(u, i));
     }
     for (file, rule, line, col) in rules::layer_boundary::run(ws, &units, &defs)? {
         raw[file].push((rule, line, col));
     }
 
     let mut diags = Vec::new();
-    for (u, mut r) in units.iter_mut().zip(raw) {
+    for (u, mut r) in units.iter().zip(raw) {
         r.sort();
         r.dedup();
-        diags.extend(finish_file(u, r, cfg, ws));
+        diags.extend(finish_file(u, r, cfg));
     }
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(diags)
@@ -283,12 +257,11 @@ mod tests {
     #[test]
     fn parse_overrides_and_rejects_unknown_keys() {
         let ws = WsConfig::parse(
-            "[surface]\nstrict = [\"src\"]\nrelaxed = []\n\
+            "[surface]\nroots = [\"src\"]\n\
              [unit-safety]\nboundary = [\"src/time.rs\"]\n",
         )
         .unwrap();
-        assert_eq!(ws.strict_roots, vec!["src".to_string()]);
-        assert!(ws.relaxed_roots.is_empty());
+        assert_eq!(ws.roots, vec!["src".to_string()]);
         assert_eq!(ws.units.boundary, vec!["src/time.rs".to_string()]);
         // Defaults survive for untouched keys.
         assert_eq!(ws.layers.order.len(), 5);

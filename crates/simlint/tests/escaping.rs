@@ -225,12 +225,12 @@ fn hostile_diags() -> Vec<Diagnostic> {
             snippet: "let s = \"quote \\\" backslash \\\\ tab\there\";".into(),
         },
         Diagnostic {
-            rule: Rule::UnusedAllow,
+            rule: Rule::FleetBoundary,
             level: Level::Warn,
             file: "src/ctrl.rs".into(),
             line: 1,
             col: 1,
-            snippet: "bell\u{7}and\u{1}control // simlint::allow(panic-policy): x".into(),
+            snippet: "bell\u{7}and\u{1}control // Rc::new(x)".into(),
         },
     ]
 }
@@ -259,7 +259,7 @@ fn to_sarif_output_is_strictly_parseable_and_well_formed() {
     let driver = run.get("tool").get("driver");
     assert_eq!(driver.get("name").str(), "simlint");
     // Full rule catalog rides along for code-scanning display.
-    assert_eq!(driver.get("rules").arr_len(), 12);
+    assert_eq!(driver.get("rules").arr_len(), 6);
     let results = run.get("results");
     assert_eq!(results.arr_len(), 2);
     let r0 = results.idx(0);

@@ -19,7 +19,10 @@
 use rand::{RngCore, SeedableRng};
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "AVX-512F intrinsics, entered only behind a runtime CPU-feature check"
+)]
 mod avx512;
 #[cfg(target_arch = "x86_64")]
 mod lanes;
@@ -77,7 +80,10 @@ pub struct StreamRng {
 }
 
 #[derive(Clone)]
-#[allow(clippy::large_enum_variant)] // see `Source::Lanes`
+#[allow(
+    clippy::large_enum_variant,
+    reason = "the lane block is held inline on purpose; see `Source::Lanes`"
+)]
 enum Source {
     /// The portable kernel: the state itself.
     Scalar(State),

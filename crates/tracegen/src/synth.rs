@@ -312,7 +312,10 @@ impl SynthSpec {
         trace
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the sampler's per-run state, threaded through the hot loop without a struct"
+    )]
     fn pick_address(
         &self,
         rng: &mut StreamRng,
@@ -528,8 +531,8 @@ mod tests {
         // The write-after-read mechanism: most written blocks were read
         // earlier in the trace (gives the paper's ~1.0 write hit ratio).
         let t = SynthSpec::trace1().scaled(0.02).generate();
-        use std::collections::HashSet;
-        let mut read_blocks: HashSet<(u32, u64)> = HashSet::new();
+        use std::collections::BTreeSet;
+        let mut read_blocks: BTreeSet<(u32, u64)> = BTreeSet::new();
         let mut hits = 0u64;
         let mut writes = 0u64;
         for r in &t.records {
@@ -631,7 +634,7 @@ mod reref_dist_tests {
         // History shorter than the floor: behaves like uniform, never
         // pins a single distance.
         let xs = samples(RerefDist::LogUniform { min: 1_000 }, 64, 2_000);
-        let distinct: std::collections::HashSet<u32> = xs.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = xs.iter().copied().collect();
         assert!(
             distinct.len() > 30,
             "only {} distinct values",

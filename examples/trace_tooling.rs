@@ -7,6 +7,8 @@
 //! cargo run --release -p raidsim --example trace_tooling
 //! ```
 
+#![expect(clippy::expect_used, reason = "example driver code stops on bad input")]
+
 use raidsim::{Organization, ParityPlacement, SimConfig, Simulator};
 use tracegen::{fmt, transform, SynthSpec, TraceStats};
 

@@ -60,6 +60,10 @@ fn check_exact_sums(mut cfg: SimConfig, trace: &Trace, tag: &str) -> usize {
         std::env::temp_dir().join(format!("raidsim-phase-{}-{tag}.jsonl", std::process::id()));
     cfg.observability.event_log = Some(path.clone());
     let report = Simulator::new(cfg, trace).run();
+    #[expect(
+        clippy::expect_used,
+        reason = "a test helper: a missing log fails the test"
+    )]
     let log = std::fs::read_to_string(&path).expect("event log written");
     let _ = std::fs::remove_file(&path);
 
