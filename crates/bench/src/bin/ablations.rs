@@ -2,15 +2,13 @@
 //!
 //! * destage period — including the paper's "periodic destage vs plain LRU
 //!   writeback" comparison (Section 3.4);
-//! * RAID4 spool drain run length (SCAN batch size);
 //! * track buffers per disk (admission control pressure);
 //! * striping-unit fast paths (full-stripe/reconstruct vs always-RMW is
 //!   visible through multiblock-write-heavy workloads);
-//! * scheduling discipline × load (queue depth) — per-discipline mean seek
-//!   distance is also written to a results JSON for downstream tooling.
+//! * scheduling discipline × load (queue depth, mean seek distance).
 //!
 //! ```text
-//! cargo run --release -p bench --bin ablations [-- --json PATH]
+//! cargo run --release -p bench --bin ablations
 //! ```
 
 #![expect(clippy::expect_used, reason = "driver code: stops on a broken run")]
@@ -20,13 +18,18 @@ use raidtp_stats::Table;
 use tracegen::SynthSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "ablations_scheduler.json".into());
+    const USAGE: &str = "usage: ablations";
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            return;
+        }
+        Some(other) => {
+            eprintln!("error: unexpected argument {other}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
     let trace = SynthSpec::trace2().generate();
 
     println!("== Ablation: destage period (cached RAID5, Trace 2, 16 MB) ==\n");
@@ -100,7 +103,6 @@ fn main() {
         .map(|speed| (speed, SynthSpec::trace2().at_speed(speed).generate()))
         .collect();
     let mut t = Table::new(&["discipline", "speed", "mean ms", "qdepth N", "seek cyl"]);
-    let mut json_rows = Vec::new();
     for d in Discipline::ALL {
         for (speed, trace) in &loads {
             let mut cfg = SimConfig::with_organization(Organization::Base);
@@ -117,22 +119,7 @@ fn main() {
                 format!("{:.2}", qdepth),
                 format!("{seek:.1}"),
             ]);
-            json_rows.push(format!(
-                "    {{\"discipline\": \"{}\", \"speed\": {speed}, \
-                 \"mean_response_ms\": {:.4}, \"mean_queue_depth\": {qdepth:.4}, \
-                 \"mean_seek_distance_cyl\": {seek:.4}}}",
-                d.label(),
-                r.mean_response_ms(),
-            ));
         }
     }
     print!("{}", t.render());
-    let json = format!(
-        "{{\n  \"scheduler_ablation\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    match std::fs::write(&json_path, &json) {
-        Ok(()) => println!("\nper-discipline seek/queue statistics written to {json_path}"),
-        Err(e) => eprintln!("warning: cannot write {json_path}: {e}"),
-    }
 }

@@ -16,9 +16,14 @@ use bench::experiments::{Experiment, ALL};
 use bench::Workloads;
 
 fn main() {
+    const USAGE: &str = "usage: figures [--list] <all | table1 table2 fig4 .. fig19>";
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: figures [--list] <all | table1 table2 fig4 .. fig19>");
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    if args.is_empty() {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--list") {
@@ -28,19 +33,22 @@ fn main() {
         return;
     }
 
+    // Every word must name an experiment, `all` included: a misspelt id
+    // beside `all` is still a mistake.
+    let mut sel: Vec<&Experiment> = Vec::new();
+    for a in &args {
+        match ALL.iter().find(|(id, _)| id == a) {
+            Some(e) => sel.push(e),
+            None if a == "all" => {}
+            None => {
+                eprintln!("unknown experiment `{a}` (use --list)");
+                std::process::exit(2);
+            }
+        }
+    }
     let selected: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
         ALL.iter().filter(|(id, _)| *id != "fig7").collect()
     } else {
-        let mut sel = Vec::new();
-        for a in &args {
-            match ALL.iter().find(|(id, _)| id == a) {
-                Some(e) => sel.push(e),
-                None => {
-                    eprintln!("unknown experiment `{a}` (use --list)");
-                    std::process::exit(2);
-                }
-            }
-        }
         // fig6 and fig7 share one function; drop accidental duplicates.
         sel.dedup_by_key(|e| e.1 as usize);
         sel

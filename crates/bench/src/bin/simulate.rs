@@ -22,9 +22,96 @@ use raidsim::{
 };
 use tracegen::{fmt, transform, SynthSpec, Trace};
 
+/// Every option `simulate` takes, in usage order: its name and, for an
+/// option that takes a value, that value's placeholder (`None` marks a
+/// flag). The argument check and the usage text both read this table.
+/// `--fleet` starts the fleet form, `--org` the single-array form.
+const OPTIONS: [(&str, Option<&str>); 37] = [
+    ("--fleet", Some("demo|small|SPEC_FILE")),
+    ("--threads", Some("N")),
+    ("--org", Some("base|mirror|raid5|raid4|parstrip")),
+    ("--n", Some("N")),
+    ("--su", Some("BLOCKS")),
+    ("--placement", Some("middle|end|rotated")),
+    ("--band", Some("BLOCKS")),
+    ("--sync", Some("si|rf|rfpr|df|dfpr")),
+    ("--sched", Some("fcfs|sstf|scan")),
+    ("--sched-stats", None),
+    ("--cache", Some("MB")),
+    ("--destage", Some("MS")),
+    ("--failed", Some("ARRAY:DISK")),
+    ("--fail-disk", Some("[ARRAY:]DISK@TIME(s|ms)")),
+    ("--second-fail", Some("[ARRAY:]DISK@TIME(s|ms)")),
+    ("--spare", None),
+    ("--no-spare", None),
+    ("--spares", Some("N")),
+    ("--sparing", Some("hot|dist")),
+    ("--rebuild-rate", Some("MBPS")),
+    ("--latent-rate", Some("PER_DISK_HOUR")),
+    ("--scrub-rate", Some("MBPS")),
+    ("--allow-idle-faults", None),
+    ("--transient-p", Some("F")),
+    ("--max-retries", Some("N")),
+    ("--battery-fail", Some("MS")),
+    ("--battery-restore", Some("MS")),
+    ("--trace", Some("trace1|trace2")),
+    ("--trace-file", Some("PATH")),
+    ("--scale", Some("F")),
+    ("--speed", Some("F")),
+    ("--seed", Some("N")),
+    ("--phases", None),
+    ("--sample-ms", Some("MS")),
+    ("--event-log", Some("PATH")),
+    ("--help", None),
+    ("-h", None),
+];
+
+/// The usage text, built from [`OPTIONS`]: the fleet form (`--fleet`,
+/// `--threads`), the single-array form (`--org` up to `--help`), then help.
+fn usage() -> String {
+    let mut out = String::from("usage: simulate");
+    for (name, value) in OPTIONS.iter().take_while(|(name, _)| *name != "--help") {
+        let word = match (*name, value) {
+            ("--fleet" | "--org", Some(v)) => format!("{name} <{v}>"),
+            (_, Some(v)) => format!("[{name} {v}]"),
+            (_, None) => format!("[{name}]"),
+        };
+        let line = out.len() - out.rfind('\n').unwrap_or(0);
+        if *name == "--org" {
+            out.push_str("\n   or: simulate");
+        } else if line + word.len() > 78 {
+            out.push_str("\n       ");
+        }
+        out.push(' ');
+        out.push_str(&word);
+    }
+    out.push_str("\n   or: simulate --help");
+    out
+}
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// Refuse anything [`OPTIONS`] does not list, a stray word, and a value
+    /// option with no value after it: each would otherwise be ignored and
+    /// the run would go ahead with a configuration nobody asked for.
+    fn validate(&self) -> Result<(), String> {
+        let mut it = self.0.iter().peekable();
+        while let Some(arg) = it.next() {
+            match OPTIONS.iter().find(|(name, _)| name == arg) {
+                Some((_, None)) => {}
+                Some((name, Some(_))) => {
+                    if it.next_if(|v| !v.starts_with("--")).is_none() {
+                        return Err(format!("{name} needs a value"));
+                    }
+                }
+                None if arg.starts_with('-') => return Err(format!("unknown option {arg}")),
+                None => return Err(format!("unexpected argument {arg}")),
+            }
+        }
+        Ok(())
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
@@ -49,19 +136,7 @@ impl Args {
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: simulate --fleet <demo|small|SPEC_FILE> [--threads N]\n\
-         \tor:  simulate --org <base|mirror|raid5|raid4|parstrip> [--n N] [--su BLOCKS]\n\
-         \t[--placement middle|end|rotated] [--band BLOCKS] [--sync si|rf|rfpr|df|dfpr]\n\
-         \t[--sched fcfs|sstf|scan] [--sched-stats]\n\
-         \t[--cache MB] [--destage MS] [--failed ARRAY:DISK]\n\
-         \t[--fail-disk [ARRAY:]DISK@TIME(s|ms)] [--second-fail [ARRAY:]DISK@TIME(s|ms)]\n\
-         \t[--spare|--no-spare] [--spares N] [--sparing hot|dist] [--rebuild-rate MBPS]\n\
-         \t[--latent-rate PER_DISK_HOUR] [--scrub-rate MBPS] [--allow-idle-faults]\n\
-         \t[--transient-p F] [--max-retries N] [--battery-fail MS] [--battery-restore MS]\n\
-         \t[--trace trace1|trace2] [--trace-file PATH] [--scale F] [--speed F] [--seed N]\n\
-         \t[--phases] [--sample-ms MS] [--event-log PATH]"
-    );
+    eprintln!("{}", usage());
     std::process::exit(2)
 }
 
@@ -166,8 +241,12 @@ fn run_fleet_cli(args: &Args, spec: &str) -> ! {
 
 fn main() {
     let args = Args(std::env::args().skip(1).collect());
+    if let Err(e) = args.validate() {
+        die(&e);
+    }
     if args.flag("--help") || args.flag("-h") {
-        die("help requested");
+        println!("{}", usage());
+        return;
     }
     if let Some(spec) = args.get("--fleet") {
         run_fleet_cli(&args, spec);
@@ -417,5 +496,38 @@ fn main() {
             ts.column_mean("qdepth.d0"),
             ts.column_max("util.d0"),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Args {
+        Args(list.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn unknown_options_and_missing_values_are_usage_errors() {
+        assert!(args(&[]).validate().is_ok());
+        assert!(
+            args(&["--org", "raid5", "--cache", "16", "--phases", "--scale", "0.02", "-h"])
+                .validate()
+                .is_ok()
+        );
+        // A misspelt option must not fall through to the default (here:
+        // uncached) configuration.
+        let e = args(&["--org", "raid5", "--cahce", "16"])
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("--cahce"), "{e}");
+        let e = args(&["--org", "raid5", "extra"]).validate().unwrap_err();
+        assert!(e.contains("extra"), "{e}");
+        let e = args(&["--org", "raid5", "--cache"]).validate().unwrap_err();
+        assert!(e.contains("--cache needs a value"), "{e}");
+        let e = args(&["--cache", "--scale", "0.02"])
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("--cache needs a value"), "{e}");
     }
 }

@@ -22,7 +22,6 @@
 )]
 
 pub mod experiments;
-pub mod perf;
 
 use tracegen::{SynthSpec, Trace};
 

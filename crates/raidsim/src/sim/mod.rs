@@ -287,8 +287,8 @@ enum Ev {
 }
 
 /// Engine-level counters of a finished run, reported by
-/// [`Simulator::run_instrumented`]: throughput denominators for the perf
-/// harness, deliberately kept out of [`SimReport`].
+/// [`Simulator::run_instrumented`]: throughput denominators for perfbench
+/// (`perfbench/`), deliberately kept out of [`SimReport`].
 #[derive(Clone, Debug)]
 pub struct RunStats {
     /// Total events dispatched by the engine (summed over virtual arrays

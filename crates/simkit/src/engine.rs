@@ -74,7 +74,7 @@ impl<E> Engine<E> {
     }
 
     /// Most events simultaneously pending so far (future-event-list
-    /// high-water mark; reported by the perf harness as queue depth).
+    /// high-water mark; perfbench reports it as `engine.peak_pending`).
     #[inline]
     pub fn peak_pending(&self) -> usize {
         self.queue.peak_len()
