@@ -92,13 +92,23 @@ fn usage() -> String {
 struct Args(Vec<String>);
 
 impl Args {
-    /// Refuse anything [`OPTIONS`] does not list, a stray word, and a value
-    /// option with no value after it: each would otherwise be ignored and
-    /// the run would go ahead with a configuration nobody asked for.
+    /// Refuse anything [`OPTIONS`] does not list, a stray word, a value
+    /// option with no value after it, and an option or flag given twice:
+    /// each would otherwise be ignored (a repeat loses to the first
+    /// occurrence) and the run would go ahead with a configuration nobody
+    /// asked for.
     fn validate(&self) -> Result<(), String> {
+        let mut seen: Vec<&str> = Vec::new();
         let mut it = self.0.iter().peekable();
         while let Some(arg) = it.next() {
-            match OPTIONS.iter().find(|(name, _)| name == arg) {
+            let option = OPTIONS.iter().find(|(name, _)| name == arg);
+            if let Some((name, _)) = option {
+                if seen.contains(name) {
+                    return Err(format!("{name} given more than once"));
+                }
+                seen.push(name);
+            }
+            match option {
                 Some((_, None)) => {}
                 Some((name, Some(_))) => {
                     if it.next_if(|v| !v.starts_with("--")).is_none() {
@@ -529,5 +539,14 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(e.contains("--cache needs a value"), "{e}");
+        // A repeat would silently lose to the first occurrence.
+        let e = args(&["--cache", "4", "--cache", "16"])
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("--cache given more than once"), "{e}");
+        let e = args(&["--phases", "--org", "raid5", "--phases"])
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("--phases given more than once"), "{e}");
     }
 }

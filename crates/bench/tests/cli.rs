@@ -1,10 +1,14 @@
 //! The command-line contract of the `simulate`, `figures` and `ablations`
-//! binaries: a misspelt option is a usage error that names it (exit 2,
-//! nothing simulated), and `--help` is not an error (usage on stdout,
+//! binaries: a misspelt or repeated option is a usage error that names it
+//! (exit 2, nothing simulated), and `--help` is not an error (usage on stdout,
 //! exit 0).
 
 use std::process::{Command, Output};
 
+#[expect(
+    clippy::panic,
+    reason = "a test helper: a binary that cannot start fails the test"
+)]
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe)
         .args(args)
@@ -25,6 +29,24 @@ fn simulate_refuses_a_misspelt_option() {
     let stderr = text(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--cahce"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be simulated");
+}
+
+#[test]
+fn simulate_refuses_a_repeated_option() {
+    // The first `--cache` used to win silently: this ran with 4 MB.
+    let out = run(
+        env!("CARGO_BIN_EXE_simulate"),
+        &[
+            "--org", "raid5", "--cache", "4", "--cache", "16", "--scale", "0.02",
+        ],
+    );
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--cache given more than once"),
+        "stderr: {stderr}"
+    );
     assert!(out.stdout.is_empty(), "nothing may be simulated");
 }
 

@@ -478,6 +478,7 @@ impl<'t> Simulator<'t> {
     ///
     /// On an invalid configuration or a trace that does not fit it; use
     /// [`Simulator::try_new`] to handle the error as a value instead.
+    #[expect(clippy::panic, reason = "the documented panicking twin of `try_new`")]
     pub fn new(cfg: SimConfig, trace: &'t Trace) -> Simulator<'t> {
         match Self::try_new(cfg, trace) {
             Ok(sim) => sim,

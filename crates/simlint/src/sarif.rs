@@ -2,10 +2,28 @@
 //!
 //! Emits the minimal valid document GitHub code scanning accepts: one run,
 //! a tool driver carrying the full rule catalog (id + help text), and one
-//! result per diagnostic with a physical location. Reuses the strict JSON
-//! escaping shared with `--format json`.
+//! result per diagnostic with a physical location. Every result is an
+//! error.
 
-use crate::{json_escape, Diagnostic, Level, RULES};
+use crate::{Diagnostic, RULES};
+
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 pub fn to_sarif(diags: &[Diagnostic]) -> String {
     let mut out = String::from(
@@ -31,13 +49,8 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let level = match d.level {
-            Level::Deny => "error",
-            Level::Warn => "warning",
-            Level::Allow => "note",
-        };
         out.push_str(&format!(
-            "\n        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"{level}\",\n          \
+            "\n        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"error\",\n          \
              \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            \
              {{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
              \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}\n          ]\n        }}",

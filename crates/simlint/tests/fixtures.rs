@@ -1,14 +1,15 @@
 //! Golden tests over the fixture corpus (`crates/simlint/fixtures/`).
 //!
-//! Each case is a miniature workspace: its own `simlint.toml` plus a few
-//! source files. `bad/<case>/expected.txt` lists the diagnostics the case
+//! Each case is a miniature workspace: a few source files under the same
+//! sim-core roots the real tree has. `bad/<case>/expected.txt` lists the
+//! diagnostics the case
 //! must produce, one per line as `rule file:line`; `good/<case>/` is the
 //! clean twin of a bad case and must produce nothing. Running the real
 //! `analyze_workspace` entry point keeps the corpus honest — a rule that
 //! silently stops firing breaks the bad twin, a rule that over-fires
-//! breaks the good twin.
+//! breaks the good twin. The last test lints the repository itself.
 
-use simlint::{analyze_workspace, Config, WsConfig};
+use simlint::{analyze_workspace, ROOTS};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(side: &str) -> PathBuf {
@@ -36,10 +37,11 @@ fn cases(side: &str) -> Vec<PathBuf> {
 }
 
 fn run_case(dir: &Path) -> Vec<String> {
-    let ws = WsConfig::load(&dir.join("simlint.toml"))
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-    let diags = analyze_workspace(dir, &ws, &Config::default())
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    #[expect(
+        clippy::panic,
+        reason = "a test helper: an unreadable case fails the test"
+    )]
+    let diags = analyze_workspace(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     diags
         .iter()
         .map(|d| format!("{} {}:{}", d.rule.name(), d.file, d.line))
@@ -99,4 +101,16 @@ fn every_bad_fixture_has_a_good_twin_or_is_lexer_specific() {
     // The lexer case has no bad twin: it only shows that comments and
     // strings never fire.
     assert!(good.contains(&"lexer-tricky".to_string()));
+}
+
+#[test]
+fn the_repository_itself_is_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // A missing root is skipped, so a moved crate would pass vacuously.
+    for rel in ROOTS {
+        assert!(root.join(rel).is_dir(), "{rel} is not a directory");
+    }
+    let diags = analyze_workspace(&root).unwrap();
+    let text: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+    assert!(diags.is_empty(), "simlint findings:\n{}", text.join("\n\n"));
 }

@@ -8,9 +8,10 @@
 //! must differ, proving the seed actually reaches the model instead of
 //! being ignored.
 //!
-//! The static half of this guarantee is `cargo run -p simlint -- --deny`,
-//! which keeps nondeterminism (hash iteration, wall-clock reads, ambient
-//! RNG) out of the sim-core crates in the first place.
+//! The static half of this guarantee is clippy's determinism policy
+//! (`clippy.toml`), which keeps nondeterminism (hash iteration, wall-clock
+//! reads, ambient RNG) out of the sim-core crates in the first place, plus
+//! `cargo test -p simlint` for the invariants clippy cannot express.
 
 use raidsim::{
     CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, ParityPlacement, SimConfig,

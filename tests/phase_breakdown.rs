@@ -28,6 +28,10 @@ fn orgs() -> Vec<Organization> {
 }
 
 /// Pull `"key":<integer>` out of a flat JSONL line.
+#[expect(
+    clippy::panic,
+    reason = "a test helper: a malformed event line fails the test"
+)]
 fn field(line: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");
     let start = line
