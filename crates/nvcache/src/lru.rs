@@ -178,7 +178,9 @@ impl NvCache {
     /// An empty cache of `capacity_blocks` blocks. The node slab and the
     /// index start sized for at most [`Self::PRESIZED_BLOCKS`] blocks and
     /// grow with use, so a cache far larger than its working set costs only
-    /// what it holds.
+    /// what it holds. Both hold one block more than that: a miss on a full
+    /// cache allocates and indexes its block before `admit` evicts, so a
+    /// cache within the presize never grows either.
     pub fn new(capacity_blocks: usize) -> NvCache {
         assert!(capacity_blocks >= 2, "cache too small to be meaningful");
         assert!(
@@ -190,7 +192,7 @@ impl NvCache {
             reserved: 0,
             nodes: Vec::with_capacity(capacity_blocks.min(Self::PRESIZED_BLOCKS) + 1),
             free: NIL,
-            index: BlockMap::with_capacity(capacity_blocks.min(Self::PRESIZED_BLOCKS)),
+            index: BlockMap::with_capacity(capacity_blocks.min(Self::PRESIZED_BLOCKS) + 1),
             collectable: Vec::new(),
             dirty_len: 0,
             head: NIL,
@@ -1227,6 +1229,29 @@ mod tests {
         assert!(hit);
         assert!(c.is_dirty(k(3)));
         assert_eq!(c.dirty_count(), 1);
+    }
+
+    /// A miss on a full cache indexes its block before evicting, so the
+    /// index briefly holds capacity + 1 keys: the presize must cover that,
+    /// or every run doubles (and rehashes) the table mid-run.
+    #[test]
+    fn index_never_grows_within_the_presize() {
+        for capacity in [64, 1024, NvCache::PRESIZED_BLOCKS] {
+            for keep_old in [false, true] {
+                let mut c = NvCache::new(capacity);
+                let slots = c.index.slot_count();
+                for b in 0..2 * capacity as u64 {
+                    c.insert_fetched(k(b));
+                    c.write_access(&[k(b)], keep_old);
+                    assert_eq!(
+                        c.index.slot_count(),
+                        slots,
+                        "capacity {capacity}, keep_old {keep_old}: grew at block {b}"
+                    );
+                }
+                assert_eq!(c.len(), capacity);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    so a new organization is one new impl — not a sweep for stray
 //!    `match` arms.
 //! 4. **`unit-safety`** — no `+`/`-` arithmetic that mixes a
-//!    time-suffixed identifier (`*_ns`, `*_us`, `*_ms`, `*time*`) with a
+//!    time-named identifier (the same words as rule 1) with a
 //!    block/byte/count identifier outside `simkit::time`: adding a
 //!    latency to a block count type-checks (both are `u64`) but is always
 //!    a unit error.
@@ -305,16 +305,18 @@ const NUMERIC_TYPES: [&str; 14] = [
     "f64",
 ];
 
+/// Is one lowercased `_`-separated identifier segment in the time
+/// vocabulary? Both `raw-time-cast` and `unit-safety` ask this.
+fn is_time_segment(seg: &str) -> bool {
+    TIME_UNITS.contains(&seg) || seg.contains("time")
+}
+
 /// Does `ident` name a time or duration? Matched per `_`-separated segment
 /// so that e.g. `instant` or `snow` never false-positive.
 fn is_time_ident(ident: &str) -> bool {
-    ident.split('_').any(|seg| {
-        let seg = seg.to_ascii_lowercase();
-        matches!(
-            seg.as_str(),
-            "ns" | "ms" | "us" | "now" | "tick" | "ticks" | "deadline"
-        ) || seg.contains("time")
-    })
+    ident
+        .split('_')
+        .any(|seg| is_time_segment(&seg.to_ascii_lowercase()))
 }
 
 /// Unit class of an identifier for the `unit-safety` rule, decided by its
@@ -331,7 +333,7 @@ fn unit_class(ident: &str) -> Option<UnitClass> {
     let mut qty = false;
     for seg in ident.split('_') {
         let seg = seg.to_ascii_lowercase();
-        if TIME_UNITS.contains(&seg.as_str()) || seg.contains("time") {
+        if is_time_segment(&seg) {
             time = true;
         }
         if QUANTITY_UNITS.contains(&seg.as_str()) {

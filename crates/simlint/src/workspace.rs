@@ -16,7 +16,7 @@ pub const ROOTS: [&str; 6] = [
 
 /// `_`-separated identifier segments that put a name in the time
 /// vocabulary (any segment containing "time" always does) …
-pub(crate) const TIME_UNITS: [&str; 6] = ["ns", "us", "ms", "tick", "ticks", "deadline"];
+pub(crate) const TIME_UNITS: [&str; 7] = ["ns", "us", "ms", "now", "tick", "ticks", "deadline"];
 
 /// … or the quantity vocabulary. Adding/subtracting across the two outside
 /// the boundary file is a `unit-safety` finding; scaling (`*` and `/`) is
