@@ -25,10 +25,12 @@
 //! Layout: blocks are 24-byte nodes in one slab, threaded on an intrusive
 //! LRU list with `u32` links. A flat open-addressing index with a fixed
 //! hash (never iterated) maps each *data* block's packed (disk, block) key
-//! to its node in 16-byte slots held at most half full; an old-data copy
-//! stays out of the index and is reached through a link from its owner.
-//! A 256 MB cache's nodes and index take 3.5 MiB; past that size both grow
-//! with use, so a huge cache costs only what it holds. Each host operation probes the
+//! to its node in 8-byte slots held at most 5/8 full: a 32-bit hash tag
+//! and the node id, the key itself living only in the node, which confirms
+//! a tag match. An old-data copy stays out of the index and is reached
+//! through a link from its owner. A 256 MB cache's nodes and index take
+//! 2.5 MiB; past that size both grow with use, so a huge cache costs only
+//! what it holds. Each host operation probes the
 //! index once per block; a multiblock write probes twice, counting the hit
 //! before applying it. Everything order-sensitive — destage grouping,
 //! eviction — walks either the LRU list or the destage candidates sorted

@@ -242,22 +242,33 @@ impl NvCache {
         &mut self.nodes[i as usize]
     }
 
+    /// The index entry for `key`, or the vacancy it would go into. A tag
+    /// match is confirmed against the node's own key.
+    #[inline]
+    fn probe(&self, key: u64) -> Probe {
+        self.index.probe(key, |i| self.node(i).key)
+    }
+
+    /// The data node holding `key`.
+    #[inline]
+    fn lookup(&self, key: u64) -> Option<u32> {
+        self.index.get(key, |i| self.node(i).key)
+    }
+
     /// Non-touching presence probe (diagnostics/tests).
     pub fn contains(&self, key: BlockKey) -> bool {
-        self.index.get(key.packed()).is_some()
+        self.lookup(key.packed()).is_some()
     }
 
     /// Whether the data block is dirty.
     pub fn is_dirty(&self, key: BlockKey) -> bool {
-        self.index
-            .get(key.packed())
+        self.lookup(key.packed())
             .is_some_and(|i| self.node(i).has(DIRTY))
     }
 
     /// Whether an old-data copy for `key` is held.
     pub fn has_old_copy(&self, key: BlockKey) -> bool {
-        self.index
-            .get(key.packed())
+        self.lookup(key.packed())
             .is_some_and(|i| self.node(i).link != NIL)
     }
 
@@ -348,7 +359,8 @@ impl NvCache {
                 // the next collect skips it.
                 self.dirty_len -= 1;
             }
-            self.index.remove(node.key);
+            let removed = self.index.remove(node.key, i);
+            debug_assert!(removed, "data node {i} was not indexed");
         }
         self.unlink(i);
         let free = self.free;
@@ -477,7 +489,7 @@ impl NvCache {
     ) -> bool {
         let before = missing.len();
         for k in keys {
-            match self.index.get(k.packed()) {
+            match self.lookup(k.packed()) {
                 Some(i) => self.touch(i),
                 None => missing.push(k),
             }
@@ -503,7 +515,7 @@ impl NvCache {
     /// the slot it goes into.
     pub fn fetch_into(&mut self, key: BlockKey, evictions: &mut Vec<DirtyEviction>) {
         let key = key.packed();
-        match self.index.probe(key) {
+        match self.probe(key) {
             Probe::Found(i) => self.touch(i),
             Probe::Vacant(slot) => self.insert_data(slot, key, false, evictions),
         }
@@ -570,17 +582,17 @@ impl NvCache {
     ) -> bool {
         let mut rest = keys.clone();
         let (Some(first), None) = (rest.next(), rest.next()) else {
-            let hit = keys.clone().all(|k| self.index.get(k.packed()).is_some());
+            let hit = keys.clone().all(|k| self.lookup(k.packed()).is_some());
             self.count_write(hit);
             for k in keys {
                 let key = k.packed();
-                let probe = self.index.probe(key);
+                let probe = self.probe(key);
                 apply(self, probe, key, evictions);
             }
             return hit;
         };
         let key = first.packed();
-        let probe = self.index.probe(key);
+        let probe = self.probe(key);
         let hit = matches!(probe, Probe::Found(_));
         self.count_write(hit);
         apply(self, probe, key, evictions);
@@ -648,7 +660,7 @@ impl NvCache {
     pub fn destage_abort(&mut self, group: &DestageGroup) {
         for k in BlockKey::range(group.disk, group.block, group.nblocks) {
             let key = k.packed();
-            if let Some(i) = self.index.get(key) {
+            if let Some(i) = self.lookup(key) {
                 let node = self.node_mut(i);
                 node.flags &= !(DESTAGING | REDIRTIED);
                 if node.has(DIRTY) {
@@ -663,7 +675,7 @@ impl NvCache {
     pub fn destage_complete(&mut self, group: &DestageGroup) {
         for k in BlockKey::range(group.disk, group.block, group.nblocks) {
             let key = k.packed();
-            let Some(i) = self.index.get(key) else {
+            let Some(i) = self.lookup(key) else {
                 continue; // evicted under overflow; nothing to settle
             };
             let node = self.node_mut(i);
@@ -755,7 +767,7 @@ impl NvCache {
                 continue;
             }
             let key = BlockKey::unpack(n.key);
-            if self.index.get(n.key) != Some(i) {
+            if self.lookup(n.key) != Some(i) {
                 return Err(format!("index does not map {key:?} to node {i}"));
             }
             if n.link != NIL {
@@ -1126,8 +1138,7 @@ mod tests {
                 .iter()
                 .copied()
                 .filter(|&k| {
-                    c.index
-                        .get(k.packed())
+                    c.lookup(k.packed())
                         .is_some_and(|i| c.node(i).flags & (DIRTY | DESTAGING) == DIRTY)
                 })
                 .collect()
@@ -1233,25 +1244,27 @@ mod tests {
 
     /// A miss on a full cache indexes its block before evicting, so the
     /// index briefly holds capacity + 1 keys: the presize must cover that,
-    /// or every run doubles (and rehashes) the table mid-run.
+    /// or every run doubles (and rehashes) the table mid-run. At 5/8 load
+    /// a 256 MB cache's 64 Ki + 1 keys fit 2^17 slots of 8 bytes.
     #[test]
     fn index_never_grows_within_the_presize() {
         for capacity in [64, 1024, NvCache::PRESIZED_BLOCKS] {
             for keep_old in [false, true] {
                 let mut c = NvCache::new(capacity);
-                let slots = c.index.slot_count();
+                let bytes = c.index.bytes();
                 for b in 0..2 * capacity as u64 {
                     c.insert_fetched(k(b));
                     c.write_access(&[k(b)], keep_old);
                     assert_eq!(
-                        c.index.slot_count(),
-                        slots,
+                        c.index.bytes(),
+                        bytes,
                         "capacity {capacity}, keep_old {keep_old}: grew at block {b}"
                     );
                 }
                 assert_eq!(c.len(), capacity);
             }
         }
+        assert!(NvCache::new(NvCache::PRESIZED_BLOCKS).index.bytes() <= 1 << 20);
     }
 
     #[test]

@@ -1,5 +1,10 @@
-//! Fleet execution: route tenant substreams, pre-split by virtual array,
-//! simulate VAs serially or in parallel, merge in VA index order.
+//! Fleet execution: generate and route tenant substreams, pre-split by
+//! virtual array, simulate VAs serially or in parallel, merge in VA index
+//! order.
+//!
+//! Tenant substreams are independent too, each a pure function of its own
+//! seeded spec, so they are generated on the same pool before the router
+//! merges them in tenant order.
 //!
 //! Virtual arrays share no simulator state (each is its own `Simulator`
 //! over its own pre-split arrival feed), so whole VAs are the jobs of the
@@ -58,12 +63,20 @@ fn tenant_substream(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> TenantSt
 
 /// Route every tenant substream into the master stream and materialize one
 /// pre-split job per VA (records re-based to VA-local disk numbering, each
-/// tagged with its tenant class).
-fn build_jobs(fleet: &FleetConfig, plan: &FleetPlan) -> Result<Vec<VaJob>, String> {
+/// tagged with its tenant class). The substreams are generated
+/// `threads`-wide on the sweep pool; each is a pure function of its spec
+/// and the merge takes them in tenant order, so any thread count routes
+/// the same master stream.
+fn build_jobs(fleet: &FleetConfig, plan: &FleetPlan, threads: usize) -> Result<Vec<VaJob>, String> {
     let streams: Vec<TenantStream> = (0..fleet.tenants.len())
         .map(|t| tenant_substream(fleet, plan, t))
         .collect();
-    let routed = route(plan.total_logical_disks, plan.max_blocks_per_disk, &streams)?;
+    let routed = route(
+        plan.total_logical_disks,
+        plan.max_blocks_per_disk,
+        &streams,
+        |streams| ordered_map(streams.len(), threads, |t| streams[t].generate()),
+    )?;
 
     // Fleet-global disk → owning VA.
     let mut owner = vec![0usize; plan.total_logical_disks as usize];
@@ -120,7 +133,7 @@ fn run_job(job: &VaJob, warm: &WarmDisks, n_tenants: u16) -> Result<VaOutcome, S
 /// returns byte-identical results.
 pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, RunStats), String> {
     let plan = allocate(fleet)?;
-    let jobs = build_jobs(fleet, &plan)?;
+    let jobs = build_jobs(fleet, &plan, threads)?;
     let n_tenants = fleet.tenants.len() as u16;
 
     // One warm pool per disk class, sized for the class's largest VA.

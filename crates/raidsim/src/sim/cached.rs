@@ -409,7 +409,7 @@ impl<'t> Simulator<'t> {
                     });
                     match job {
                         None => self.enqueue_op(t),
-                        Some(j) => self.jobs.pending_parity[j as usize].push(t),
+                        Some(j) => self.jobs.get_mut(j).pending_parity.push(t),
                     }
                 }
             }

@@ -28,20 +28,21 @@ impl<'t> Simulator<'t> {
 
     pub(super) fn enqueue_op(&mut self, token: u32) {
         let now = self.engine.now();
-        let t = token as usize;
-        let (gdisk, band, role, block) = (
-            self.ops.gdisk[t],
-            self.ops.band[t],
-            self.ops.role[t],
-            self.ops.block[t],
-        );
+        let &DiskOp {
+            gdisk,
+            band,
+            role,
+            block,
+            ..
+        } = self.ops.get(token);
         let g = gdisk as usize;
         // Background-busy snapshot, credited with the *remaining* time of a
         // background op currently in service so the interference window
         // counts only overlap with [enqueue, start].
         let snap = self.bg_busy_cum[g] - self.bg_until[g].saturating_since(now);
-        self.ops.marks[t].enqueue = now;
-        self.ops.marks[t].bg_snap = snap;
+        let marks = &mut self.ops.get_mut(token).marks;
+        marks.enqueue = now;
+        marks.bg_snap = snap;
         // A disk that failed after this op was planned cannot serve it:
         // abort and (for reads of lost data) re-plan through the degraded
         // path. This catches stragglers staged before the failure — boxed
@@ -78,16 +79,16 @@ impl<'t> Simulator<'t> {
 
     fn start_op(&mut self, gdisk: u32, token: u32) {
         let now = self.engine.now();
-        let t = token as usize;
-        let (block, nblocks, kind, job, feeds, band, role) = (
-            self.ops.block[t],
-            self.ops.nblocks[t],
-            self.ops.kind[t],
-            self.ops.job[t],
-            self.ops.feeds[t],
-            self.ops.band[t],
-            self.ops.role[t],
-        );
+        let &DiskOp {
+            block,
+            nblocks,
+            kind,
+            job,
+            feeds,
+            band,
+            role,
+            ..
+        } = self.ops.get(token);
         if self.sched_stats {
             let seek_cyl = self.disks[gdisk as usize].arm_distance(block) as f64;
             self.sched_seek_cyl.push(seek_cyl);
@@ -95,11 +96,12 @@ impl<'t> Simulator<'t> {
         let timing = self.disks[gdisk as usize].plan(now, block, nblocks, kind);
         self.disk_counts.add(gdisk as usize, 1);
         self.disk_ops += 1;
-        self.ops.read_end[t] = timing.read_end;
-        self.ops.transfer_ns[t] = timing.transfer_ns;
-        self.ops.marks[t].start = now;
-        self.ops.marks[t].seek_ns = timing.seek_ns;
-        self.ops.marks[t].latency_ns = timing.latency_ns;
+        let op = self.ops.get_mut(token);
+        op.read_end = timing.read_end;
+        op.transfer_ns = timing.transfer_ns;
+        op.marks.start = now;
+        op.marks.seek_ns = timing.seek_ns;
+        op.marks.latency_ns = timing.latency_ns;
         if self.event_log.is_some() {
             let line = format!(
                 "{{\"t\":{},\"ev\":\"dispatch\",\"disk\":{},\"role\":\"{:?}\",\"band\":\"{:?}\",\"block\":{},\"nblocks\":{},\"seek_ns\":{},\"rotation_ns\":{},\"transfer_ns\":{}}}",
@@ -128,12 +130,12 @@ impl<'t> Simulator<'t> {
         // final completion outright.
         let complete = if kind == AccessKind::RmwParityRead {
             match job {
-                Some(j) if self.jobs.data_not_started[j as usize] > 0 => timing.complete,
+                Some(j) if self.jobs.get(j).data_not_started > 0 => timing.complete,
                 Some(j) => rmw_write_complete(
                     timing.read_end,
                     timing.transfer_ns,
                     self.rot_ns,
-                    self.jobs.ready[j as usize],
+                    self.jobs.get(j).ready,
                 ),
                 None => timing.complete, // ready immediately: read_end + rot
             }
@@ -157,22 +159,21 @@ impl<'t> Simulator<'t> {
     /// A feeder (data RMW / reconstruct read) started service: update the
     /// job's ready time and release parity ops per the synchronization rule.
     pub(super) fn feed_job(&mut self, job: u32, read_end: SimTime) {
-        let j = job as usize;
-        self.jobs.ready[j] = self.jobs.ready[j].max(read_end);
-        self.jobs.data_not_started[j] -= 1;
-        self.jobs.refs[j] -= 1;
+        let j = self.jobs.get_mut(job);
+        j.ready = j.ready.max(read_end);
+        j.data_not_started -= 1;
+        j.refs -= 1;
         let mut release = Vec::new();
-        if self.jobs.data_not_started[j] == 0 {
-            match self.jobs.rule[j] {
+        if j.data_not_started == 0 {
+            match j.rule {
                 EnqueueRule::AlreadyIssued => {}
                 EnqueueRule::AtReady => {
-                    if !self.jobs.pending_parity[j].is_empty() {
-                        let ready = self.jobs.ready[j];
-                        self.engine.schedule_at(ready, Ev::EnqueueParity(job));
+                    if !j.pending_parity.is_empty() {
+                        self.engine.schedule_at(j.ready, Ev::EnqueueParity(job));
                     }
                 }
                 EnqueueRule::AtAllStarted => {
-                    release = std::mem::take(&mut self.jobs.pending_parity[j]);
+                    release = std::mem::take(&mut j.pending_parity);
                 }
             }
         }
@@ -186,8 +187,9 @@ impl<'t> Simulator<'t> {
     }
 
     pub(super) fn maybe_free_job(&mut self, job: u32) {
-        if self.jobs.refs[job as usize] == 0 {
-            debug_assert!(self.jobs.pending_parity[job as usize].is_empty());
+        let j = self.jobs.get(job);
+        if j.refs == 0 {
+            debug_assert!(j.pending_parity.is_empty());
             self.jobs.remove(job);
         }
     }
@@ -196,21 +198,23 @@ impl<'t> Simulator<'t> {
         let now = self.engine.now();
         // Parity RMWs may need to hold the disk for more rotations if the
         // new parity was not ready when the head came back (Section 3.3).
-        if self.ops.kind[token as usize] == AccessKind::RmwParityRead {
-            let t = token as usize;
-            let (read_end, transfer_ns, job) = (
-                self.ops.read_end[t],
-                self.ops.transfer_ns[t],
-                self.ops.job[t],
-            );
+        let &DiskOp {
+            kind,
+            read_end,
+            transfer_ns,
+            job,
+            band,
+            ..
+        } = self.ops.get(token);
+        if kind == AccessKind::RmwParityRead {
             let hold_until = match job {
-                Some(j) if self.jobs.data_not_started[j as usize] > 0 => Some(now + self.rot_ns),
+                Some(j) if self.jobs.get(j).data_not_started > 0 => Some(now + self.rot_ns),
                 Some(j) => {
                     let actual = rmw_write_complete(
                         read_end,
                         transfer_ns,
                         self.rot_ns,
-                        self.jobs.ready[j as usize],
+                        self.jobs.get(j).ready,
                     );
                     (actual > now).then_some(actual)
                 }
@@ -218,7 +222,7 @@ impl<'t> Simulator<'t> {
             };
             if let Some(until) = hold_until {
                 self.disks[gdisk as usize].extend_busy(until);
-                if self.ops.band[t] == Band::Background {
+                if band == Band::Background {
                     self.bg_busy_cum[gdisk as usize] += until - now;
                     self.bg_until[gdisk as usize] = until;
                 }
@@ -240,14 +244,15 @@ impl<'t> Simulator<'t> {
             .fault
             .as_ref()
             .map_or(0.0, |f| f.fcfg.transient_error_prob);
-        if transient_p > 0.0 && !self.ops.feeds[token as usize] {
+        if transient_p > 0.0 && !self.ops.get(token).feeds {
             let erred = self
                 .fault
                 .as_mut()
                 .is_some_and(|f| f.rngs[gdisk as usize].chance(transient_p));
             if erred {
-                self.ops.attempts[token as usize] += 1;
-                let attempts = self.ops.attempts[token as usize];
+                let op = self.ops.get_mut(token);
+                op.attempts += 1;
+                let attempts = op.attempts;
                 let policy = self.fault.as_ref().map_or(RetryPolicy::new(0, 0), |f| {
                     RetryPolicy::new(f.fcfg.retry_backoff_us * 1_000, f.fcfg.max_retries)
                 });
@@ -312,7 +317,7 @@ impl<'t> Simulator<'t> {
                     self.request_part_done(req, now, phase);
                 }
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
             }
@@ -348,7 +353,7 @@ impl<'t> Simulator<'t> {
             }
             OpRole::DestageParity => {
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
             }
@@ -361,7 +366,7 @@ impl<'t> Simulator<'t> {
             }
             OpRole::RebuildWrite => {
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
                 self.on_rebuild_batch_done(&op);
@@ -371,7 +376,7 @@ impl<'t> Simulator<'t> {
             }
             OpRole::ScrubRepair => {
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
             }

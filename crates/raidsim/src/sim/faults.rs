@@ -494,7 +494,7 @@ impl<'t> Simulator<'t> {
                     self.request_part_done(req, now, phase);
                 }
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
             }
@@ -519,7 +519,7 @@ impl<'t> Simulator<'t> {
             }
             OpRole::DestageParity | OpRole::RebuildWrite | OpRole::ScrubRepair => {
                 if let Some(j) = op.job {
-                    self.jobs.refs[j as usize] -= 1;
+                    self.jobs.get_mut(j).refs -= 1;
                     self.maybe_free_job(j);
                 }
             }
@@ -771,7 +771,7 @@ impl<'t> Simulator<'t> {
             refs: runs.len() as u32 + wts.len() as u32,
         });
         for &wt in &wts {
-            self.ops.job[wt as usize] = Some(job);
+            self.ops.get_mut(wt).job = Some(job);
         }
         for run in runs {
             let t = self.new_op(DiskOp {
@@ -995,7 +995,7 @@ impl<'t> Simulator<'t> {
             refs: runs.len() as u32 + wts.len() as u32,
         });
         for &wt in &wts {
-            self.ops.job[wt as usize] = Some(job);
+            self.ops.get_mut(wt).job = Some(job);
         }
         for run in runs {
             let t = self.new_op(DiskOp {

@@ -48,7 +48,6 @@ mod faults;
 mod planning;
 mod reporting;
 mod slab;
-mod soa;
 
 use crate::config::{FaultConfig, Organization, SimConfig, SparingMode, SyncPolicy};
 use crate::mapping::{OrgMap, PlanBuf, Run, StripeMode};
@@ -64,7 +63,6 @@ use nvcache::{BlockKey, NvCache, ParitySpool};
 use raidtp_stats::{DiskCounters, Histogram, TimeSeries, Welford};
 use simkit::{Engine, EventId, FaultEvent, FaultPlan, FaultRng, SimTime};
 use slab::Slab;
-use soa::{JobSlab, OpSlab};
 use std::collections::VecDeque;
 use tracegen::{AccessType, Trace};
 
@@ -390,8 +388,8 @@ pub struct Simulator<'t> {
     evictions: Vec<nvcache::DirtyEviction>,
     destage_groups: Vec<nvcache::DestageGroup>,
 
-    ops: OpSlab,
-    jobs: JobSlab,
+    ops: Slab<DiskOp>,
+    jobs: Slab<ParityJob>,
     reqs: Slab<Request>,
     dgroups: Slab<DestageJob>,
 
@@ -694,8 +692,8 @@ impl<'t> Simulator<'t> {
             tokens: Vec::with_capacity(64),
             evictions: Vec::with_capacity(64),
             destage_groups: Vec::new(),
-            ops: OpSlab::with_capacity(ev_cap),
-            jobs: JobSlab::with_capacity(ev_cap / 4),
+            ops: Slab::with_capacity(ev_cap),
+            jobs: Slab::with_capacity(ev_cap / 4),
             reqs: Slab::with_capacity(ev_cap / 2),
             dgroups: Slab::new(),
             arrays,
@@ -897,7 +895,7 @@ impl<'t> Simulator<'t> {
                 }
             }
             Ev::EnqueueParity(job) => {
-                let pending = std::mem::take(&mut self.jobs.pending_parity[job as usize]);
+                let pending = std::mem::take(&mut self.jobs.get_mut(job).pending_parity);
                 for t in pending {
                     self.enqueue_op(t);
                 }

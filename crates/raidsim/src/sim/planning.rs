@@ -367,12 +367,12 @@ impl<'t> Simulator<'t> {
                                 parity_band,
                                 Some(job),
                             );
-                            self.jobs.pending_parity[job as usize].push(t);
+                            self.jobs.get_mut(job).pending_parity.push(t);
                         }
                         if extra_reads.is_empty() {
                             // Parity computable from new data alone.
                             let pending =
-                                std::mem::take(&mut self.jobs.pending_parity[job as usize]);
+                                std::mem::take(&mut self.jobs.get_mut(job).pending_parity);
                             self.tokens.extend(pending);
                         }
                         for j in extra_reads {
@@ -446,7 +446,7 @@ impl<'t> Simulator<'t> {
                         );
                         match job {
                             Some(j) if rule != EnqueueRule::AlreadyIssued => {
-                                self.jobs.pending_parity[j as usize].push(t)
+                                self.jobs.get_mut(j).pending_parity.push(t)
                             }
                             // Ready immediately, or issued with the data.
                             _ => self.tokens.push(t),

@@ -35,6 +35,17 @@ pub struct TenantStream {
     pub spec: SynthSpec,
 }
 
+impl TenantStream {
+    /// Generate this tenant's substream in fleet-global disk numbering.
+    pub fn generate(&self) -> Trace {
+        let mut t = self.spec.generate();
+        for r in &mut t.records {
+            r.disk += self.base_disk;
+        }
+        t
+    }
+}
+
 /// The routed fleet arrival stream: one merged, time-sorted trace over the
 /// fleet's global logical disk space, plus a per-record tenant tag.
 #[derive(Clone, Debug)]
@@ -45,17 +56,24 @@ pub struct RoutedTrace {
     pub n_tenants: u16,
 }
 
-/// Generate every tenant's substream and merge them into one fleet trace.
+/// Check the streams, generate every tenant's substream and merge them into
+/// one fleet trace.
 ///
 /// `total_disks` is the fleet's logical disk count (the sum of the VA
 /// spans); `blocks_per_disk` must be at least every stream's own
 /// `blocks_per_disk` so the master's addresses validate (per-VA traces are
 /// re-bounded to their own geometry when the fleet runner materializes
 /// them).
+///
+/// `generate` runs only once every stream has passed its checks. It must
+/// return [`TenantStream::generate`] of each stream, in stream order; the
+/// caller chooses how to run them (one after another, or side by side,
+/// since each substream is a pure function of its own spec).
 pub fn route(
     total_disks: u32,
     blocks_per_disk: u64,
     streams: &[TenantStream],
+    generate: impl FnOnce(&[TenantStream]) -> Vec<Trace>,
 ) -> Result<RoutedTrace, String> {
     for (i, s) in streams.iter().enumerate() {
         if streams[..i].iter().any(|p| p.tenant == s.tenant) {
@@ -76,17 +94,14 @@ pub fn route(
         }
     }
 
-    // Generate each substream in fleet-global disk numbering.
-    let subs: Vec<Trace> = streams
-        .iter()
-        .map(|s| {
-            let mut t = s.spec.generate();
-            for r in &mut t.records {
-                r.disk += s.base_disk;
-            }
-            t
-        })
-        .collect();
+    let subs = generate(streams);
+    if subs.len() != streams.len() {
+        return Err(format!(
+            "generated {} substreams for {} tenants",
+            subs.len(),
+            streams.len()
+        ));
+    }
 
     // K-way merge on (arrival time, stream order). `pos[k]` is the cursor
     // into substream `k`; ties pick the smallest stream index, so equal
@@ -139,6 +154,10 @@ mod tests {
         s
     }
 
+    fn serial(streams: &[TenantStream]) -> Vec<Trace> {
+        streams.iter().map(TenantStream::generate).collect()
+    }
+
     #[test]
     fn merge_is_time_sorted_and_complete() {
         let streams = vec![
@@ -153,7 +172,7 @@ mod tests {
                 spec: tiny_spec(2, 6, 300),
             },
         ];
-        let routed = route(10, 226_800, &streams).unwrap();
+        let routed = route(10, 226_800, &streams, serial).unwrap();
         assert_eq!(routed.master.len(), 500);
         assert_eq!(routed.tenant_of.len(), 500);
         assert!(routed.master.validate().is_ok());
@@ -180,12 +199,13 @@ mod tests {
                 spec: tiny_spec(8, 3, 150),
             },
         ];
-        let a = route(6, 226_800, &streams).unwrap();
-        let b = route(6, 226_800, &streams).unwrap();
+        let a = route(6, 226_800, &streams, serial).unwrap();
+        let b = route(6, 226_800, &streams, serial).unwrap();
         assert_eq!(a.master, b.master);
         assert_eq!(a.tenant_of, b.tenant_of);
     }
 
+    /// Bad streams are refused before anything is generated.
     #[test]
     fn rejects_bad_streams() {
         let s = |tenant, base_disk, nd| TenantStream {
@@ -193,13 +213,16 @@ mod tests {
             base_disk,
             spec: tiny_spec(1, nd, 10),
         };
-        let e = route(4, 226_800, &[s(0, 0, 2), s(0, 2, 2)]).unwrap_err();
+        let never = |_: &[TenantStream]| -> Vec<Trace> { panic!("generated before the checks") };
+        let e = route(4, 226_800, &[s(0, 0, 2), s(0, 2, 2)], never).unwrap_err();
         assert!(e.contains("duplicate tenant id"), "{e}");
-        let e = route(4, 226_800, &[s(0, 2, 4)]).unwrap_err();
+        let e = route(4, 226_800, &[s(0, 2, 4)], never).unwrap_err();
         assert!(e.contains("spans disks"), "{e}");
         let mut big = s(0, 0, 2);
         big.spec.blocks_per_disk = 1 << 40;
-        let e = route(4, 226_800, &[big]).unwrap_err();
+        let e = route(4, 226_800, &[big], never).unwrap_err();
         assert!(e.contains("caps at"), "{e}");
+        let e = route(4, 226_800, &[s(0, 0, 2)], |_| Vec::new()).unwrap_err();
+        assert!(e.contains("generated 0 substreams for 1 tenants"), "{e}");
     }
 }
