@@ -6,13 +6,15 @@
 //! figures --list         # available ids
 //! RAIDTP_T1_SCALE=0.05 figures fig4   # smaller Trace 1 for quick runs
 //! ```
+//!
+//! The tables print in selection order once the plan's points are done.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "driver code: times runs by the wall clock"
 )]
 
-use bench::experiments::{Experiment, ALL};
+use bench::experiments::{self, Experiment, ALIASES, ALL};
 use bench::Workloads;
 
 fn main() {
@@ -27,42 +29,30 @@ fn main() {
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--list") {
-        for (id, _) in ALL {
+        for id in ALL.iter().map(|e| e.0).chain(ALIASES.iter().map(|a| a.0)) {
             println!("{id}");
         }
         return;
     }
 
     // Every word must name an experiment, `all` included: a misspelt id
-    // beside `all` is still a mistake.
+    // beside `all` is still a mistake. An id named twice (directly or
+    // through an alias: fig7 is fig6) prints once, at its first place.
     let mut sel: Vec<&Experiment> = Vec::new();
-    for a in &args {
-        match ALL.iter().find(|(id, _)| id == a) {
+    for a in args.iter().filter(|a| *a != "all") {
+        match experiments::find(a) {
+            Some(e) if sel.iter().any(|s| s.0 == e.0) => {}
             Some(e) => sel.push(e),
-            None if a == "all" => {}
-            None => {
-                eprintln!("unknown experiment `{a}` (use --list)");
-                std::process::exit(2);
-            }
+            None => fail(2, &format!("unknown experiment `{a}` (use --list)")),
         }
     }
-    let selected: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
-        ALL.iter().filter(|(id, _)| *id != "fig7").collect()
-    } else {
-        // fig6 and fig7 share one function; drop accidental duplicates.
-        sel.dedup_by_key(|e| e.1 as usize);
-        sel
-    };
+    if args.iter().any(|a| a == "all") {
+        sel = ALL.iter().collect();
+    }
 
     eprintln!("generating workloads…");
     let t0 = std::time::Instant::now();
-    let w = match Workloads::load() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let w = Workloads::load().unwrap_or_else(|e| fail(2, &format!("error: {e}")));
     eprintln!(
         "traces ready in {:.1?} (Trace 1: {} reqs @ scale {}, Trace 2: {} reqs)\n",
         t0.elapsed(),
@@ -71,9 +61,23 @@ fn main() {
         w.trace2.len()
     );
 
-    for (id, f) in selected {
-        let t = std::time::Instant::now();
-        f(&w);
-        eprintln!("[{id} done in {:.1?}]\n", t.elapsed());
+    let t = std::time::Instant::now();
+    let (plan, texts) =
+        experiments::render(&sel, &w, 0).unwrap_or_else(|e| fail(1, &format!("error: {e}")));
+    for text in texts {
+        print!("{text}");
     }
+    // `run_all` with 0 threads uses the available parallelism (4 if unknown).
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    eprintln!(
+        "[{} points declared, {} distinct, {threads} threads, done in {:.1?}]",
+        plan.declared(),
+        plan.distinct(),
+        t.elapsed()
+    );
+}
+
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
 }

@@ -1,29 +1,44 @@
-//! One function per table/figure of the paper's evaluation (Section 4).
+//! One declaration per table/figure of the paper's evaluation (Section 4).
 //!
-//! Every function prints the series the paper plots as an aligned text
-//! table and returns nothing; the `figures` binary dispatches on experiment
-//! ids. All runs are deterministic.
+//! Every experiment declares the simulation points it reads into a shared
+//! [`Plan`] and returns a [`Render`] that formats its aligned text tables
+//! from the plan's results. [`render`] runs one plan for a whole selection,
+//! so a point two figures print is simulated once; the `figures` binary
+//! dispatches on experiment ids. All runs are deterministic, and the text
+//! does not depend on the thread count.
 
+use crate::plan::{Id, Plan, TraceKey, TRACE1, TRACE2, TRACES};
 use crate::Workloads;
 use diskmodel::{DiskGeometry, SeekCurve};
 use raidsim::{
-    run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, Organization,
-    ParityPlacement, SimConfig, SimReport, Simulator, SparingMode, SyncPolicy,
+    run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FaultReport, FleetConfig,
+    Organization, ParityPlacement, PhaseWelfords, ReliabilityReport, SchedulerReport, SimConfig,
+    SimReport, SparingMode, SyncPolicy,
 };
+use raidtp_stats::table::{ms, pct};
 use raidtp_stats::Table;
-use tracegen::{transform, Trace, TraceStats};
+use tracegen::TraceStats;
 
+/// An experiment's text, formatted from the plan's results.
+pub type Render = Box<dyn FnOnce(&[SimReport]) -> String>;
+
+/// An experiment: its CLI id and the function that declares its points.
+pub type Experiment = (&'static str, fn(&mut Plan, &Workloads) -> Render);
+
+/// A table cell: one statistic of a point's report.
+type Cell = fn(&SimReport) -> String;
+
+const BASE: Organization = Organization::Base;
+const MIRROR: Organization = Organization::Mirror;
+const RAID5: Organization = Organization::Raid5 { striping_unit: 1 };
+const RAID4: Organization = Organization::Raid4 { striping_unit: 1 };
+const PARSTRIP: Organization = Organization::ParityStriping {
+    placement: ParityPlacement::Middle,
+};
 /// The four primary organizations of Figure 5 / Table 3.
-fn main_orgs() -> [Organization; 4] {
-    [
-        Organization::Base,
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ]
-}
+const MAIN_ORGS: [Organization; 4] = [BASE, MIRROR, RAID5, PARSTRIP];
+/// Array sizes of the non-cached N sweeps.
+const NS: [u32; 4] = [5, 10, 15, 20];
 
 fn cfg(org: Organization, n: u32, cache_mb: Option<u64>) -> SimConfig {
     let mut c = SimConfig::with_organization(org);
@@ -35,22 +50,132 @@ fn cfg(org: Organization, n: u32, cache_mb: Option<u64>) -> SimConfig {
     c
 }
 
-fn run(config: SimConfig, trace: &Trace) -> SimReport {
-    Simulator::new(config, trace).run()
+fn with_fault(c: SimConfig, fault: FaultConfig) -> SimConfig {
+    SimConfig {
+        fault: Some(fault),
+        ..c
+    }
 }
 
-fn ms(v: f64) -> String {
-    format!("{v:.2}")
+fn scheduled(c: SimConfig, scheduler: Discipline) -> SimConfig {
+    SimConfig { scheduler, ..c }
 }
 
-fn pct(v: f64) -> String {
-    format!("{:.1}", v * 100.0)
+fn mean(r: &SimReport) -> String {
+    ms(r.mean_response_ms())
+}
+
+// A run with a fault config reports both faults and reliability; one with
+// `scheduler_stats` reports scheduler statistics.
+fn faults(r: &SimReport) -> &FaultReport {
+    r.faults.as_ref().expect("fault config set")
+}
+
+fn lifecycle(r: &SimReport) -> &ReliabilityReport {
+    r.reliability.as_ref().expect("fault config set")
+}
+
+fn scheduler(r: &SimReport) -> &SchedulerReport {
+    r.scheduler.as_ref().expect("scheduler_stats set")
+}
+
+/// Table rows labelled by their own value.
+fn rows<R: Copy + std::fmt::Display>(values: &[R]) -> Vec<(String, R)> {
+    values.iter().map(|&v| (v.to_string(), v)).collect()
+}
+
+/// One mean-response-time column per organization.
+fn org_cols(orgs: &[Organization]) -> Vec<(&'static str, Organization, Cell)> {
+    orgs.iter().map(|&o| (o.label(), o, mean as Cell)).collect()
+}
+
+/// A `-- title --` line (none for an empty title), the table, a blank line.
+fn section(title: &str, t: &Table) -> String {
+    if title.is_empty() {
+        return format!("{}\n", t.render());
+    }
+    format!("-- {title} --\n{}\n", t.render())
+}
+
+/// An experiment's text: its `head` line, a blank line, then each part.
+fn figure(head: &str, parts: impl IntoIterator<Item = Render>) -> Render {
+    let mut out = format!("{head}\n\n");
+    let parts: Vec<Render> = parts.into_iter().collect();
+    Box::new(move |res| {
+        for part in parts {
+            out += &part(res);
+        }
+        out
+    })
+}
+
+/// One table section: a row per `rows` entry and a column per `cols` entry
+/// `(header, parameter, cell)`, whose cell formats the report of the point
+/// `point(row, parameter)`.
+fn grid<R, C: Copy>(
+    plan: &mut Plan,
+    title: &str,
+    corner: &'static str,
+    rows: impl IntoIterator<Item = (String, R)>,
+    cols: &[(&'static str, C, Cell)],
+    point: impl Fn(&R, C) -> (TraceKey, SimConfig),
+) -> Render {
+    let title = title.to_string();
+    let mut header = vec![corner];
+    header.extend(cols.iter().map(|&(h, ..)| h));
+    let cells: Vec<(String, Vec<(Cell, Id)>)> = rows
+        .into_iter()
+        .map(|(label, r)| {
+            let ids = cols.iter().map(|&(_, c, cell)| {
+                let (key, config) = point(&r, c);
+                (cell, plan.point(key, config))
+            });
+            (label, ids.collect())
+        })
+        .collect();
+    Box::new(move |res| {
+        let mut t = Table::new(&header);
+        for (label, ids) in cells {
+            let mut row = vec![label];
+            row.extend(ids.into_iter().map(|(cell, id)| cell(&res[id])));
+            t.row(&row);
+        }
+        section(&title, &t)
+    })
+}
+
+/// A grid of one point per row, each column a statistic of it.
+fn metrics<R>(
+    plan: &mut Plan,
+    title: &str,
+    corner: &'static str,
+    rows: impl IntoIterator<Item = (String, R)>,
+    cols: &[(&'static str, Cell)],
+    point: impl Fn(&R) -> (TraceKey, SimConfig),
+) -> Render {
+    let cols: Vec<_> = cols.iter().map(|&(h, cell)| (h, (), cell)).collect();
+    grid(plan, title, corner, rows, &cols, |r, ()| point(r))
+}
+
+/// A figure of one grid per base trace, titled with the trace's name.
+fn per_trace<R: Clone, C: Copy>(
+    plan: &mut Plan,
+    head: &str,
+    corner: &'static str,
+    rows: &[(String, R)],
+    cols: &[(&'static str, C, Cell)],
+    point: impl Fn(TraceKey, &R, C) -> (TraceKey, SimConfig),
+) -> Render {
+    let parts = TRACES.map(|key| {
+        let point = |r: &R, c| point(key, r, c);
+        grid(plan, key.name(), corner, rows.to_vec(), cols, point)
+    });
+    figure(head, parts)
 }
 
 /// Table 1: the disk/channel model, including the calibrated seek curve the
 /// paper leaves implicit.
-pub fn table1(_w: &Workloads) {
-    println!("== Table 1: disk and channel parameters (model constants) ==\n");
+pub fn table1(_: &mut Plan, _: &Workloads) -> Render {
     let g = DiskGeometry::default();
     let s = SeekCurve::table1();
     let mut t = Table::new(&["parameter", "value"]);
@@ -62,458 +187,290 @@ pub fn table1(_w: &Workloads) {
     t.row(&["Bytes per sector".into(), g.bytes_per_sector.to_string()]);
     t.row(&["Number of platters".into(), (g.surfaces / 2).to_string()]);
     t.row(&["Channel transfer rate".into(), "10 MB/s".into()]);
-    t.row(&[
-        "Capacity (derived)".into(),
-        format!("{:.2} GB", g.capacity_bytes() as f64 / 1e9),
-    ]);
-    t.row(&[
-        "Rotation period (derived)".into(),
-        format!("{:.3} ms", g.rotation_ns() as f64 / 1e6),
-    ]);
-    t.row(&[
-        "4 KB media transfer (derived)".into(),
-        format!("{:.3} ms", g.block_transfer_ns() as f64 / 1e6),
-    ]);
-    t.row(&[
-        "Seek curve a√(x−1)+b(x−1)+c".into(),
-        format!("a={:.4}, b={:.5}, c={:.1} (ms)", s.a, s.b, s.c),
-    ]);
-    print!("{}", t.render());
-    println!();
+    let capacity = format!("{:.2} GB", g.capacity_bytes() as f64 / 1e9);
+    t.row(&["Capacity (derived)".into(), capacity]);
+    let rotation = format!("{:.3} ms", g.rotation_ns() as f64 / 1e6);
+    t.row(&["Rotation period (derived)".into(), rotation]);
+    let transfer = format!("{:.3} ms", g.block_transfer_ns() as f64 / 1e6);
+    t.row(&["4 KB media transfer (derived)".into(), transfer]);
+    let seek = format!("a={:.4}, b={:.5}, c={:.1} (ms)", s.a, s.b, s.c);
+    t.row(&["Seek curve a√(x−1)+b(x−1)+c".into(), seek]);
+    let text = format!(
+        "== Table 1: disk and channel parameters (model constants) ==\n\n{}\n",
+        t.render()
+    );
+    Box::new(move |_| text)
 }
 
 /// Table 2: characteristics of the (synthetic) traces, with the paper's
 /// originals alongside.
-pub fn table2(w: &Workloads) {
-    println!(
-        "== Table 2: trace characteristics (synthetic; Trace 1 at scale {}) ==\n",
-        w.t1_scale
-    );
-    let s1 = TraceStats::of(&w.trace1);
-    let s2 = TraceStats::of(&w.trace2);
+pub fn table2(_: &mut Plan, w: &Workloads) -> Render {
+    // Our value of each metric, in the row order of `paper` below.
+    let ours = |s: TraceStats| {
+        [
+            format!("{:.0}min", s.duration_secs / 60.0),
+            s.n_disks.to_string(),
+            s.io_accesses.to_string(),
+            s.blocks_transferred.to_string(),
+            s.single_block_reads.to_string(),
+            s.single_block_writes.to_string(),
+            s.multiblock_reads.to_string(),
+            s.multiblock_writes.to_string(),
+            pct(s.write_fraction()),
+            format!("{:.2}", s.disk_skew_cv()),
+        ]
+    };
+    let [t1, t2] = [&w.trace1, &w.trace2].map(|t| ours(TraceStats::of(t)));
+    // (metric, paper's Trace 1, paper's Trace 2)
+    let paper = [
+        ("Duration", "183min", "100min"),
+        ("# of disks", "130", "10"),
+        ("# of I/O accesses", "3362505", "69539"),
+        ("# blocks transferred", "4467719", "143105"),
+        ("single-block reads", "2977914", "48339"),
+        ("single-block writes", "312961", "17557"),
+        ("multiblock reads", "47324", "2029"),
+        ("multiblock writes", "24306", "2098"),
+        ("write fraction %", "10.0", "28.3"),
+        ("disk-skew CV", "moderate", "high"),
+    ];
     let mut t = Table::new(&["metric", "Trace 1", "paper T1", "Trace 2", "paper T2"]);
-    let fmt_dur = |secs: f64| format!("{:.0}min", secs / 60.0);
-    t.row(&[
-        "Duration".into(),
-        fmt_dur(s1.duration_secs),
-        "183min".into(),
-        fmt_dur(s2.duration_secs),
-        "100min".into(),
-    ]);
-    t.row(&[
-        "# of disks".into(),
-        s1.n_disks.to_string(),
-        "130".into(),
-        s2.n_disks.to_string(),
-        "10".into(),
-    ]);
-    t.row(&[
-        "# of I/O accesses".into(),
-        s1.io_accesses.to_string(),
-        "3362505".into(),
-        s2.io_accesses.to_string(),
-        "69539".into(),
-    ]);
-    t.row(&[
-        "# blocks transferred".into(),
-        s1.blocks_transferred.to_string(),
-        "4467719".into(),
-        s2.blocks_transferred.to_string(),
-        "143105".into(),
-    ]);
-    t.row(&[
-        "single-block reads".into(),
-        s1.single_block_reads.to_string(),
-        "2977914".into(),
-        s2.single_block_reads.to_string(),
-        "48339".into(),
-    ]);
-    t.row(&[
-        "single-block writes".into(),
-        s1.single_block_writes.to_string(),
-        "312961".into(),
-        s2.single_block_writes.to_string(),
-        "17557".into(),
-    ]);
-    t.row(&[
-        "multiblock reads".into(),
-        s1.multiblock_reads.to_string(),
-        "47324".into(),
-        s2.multiblock_reads.to_string(),
-        "2029".into(),
-    ]);
-    t.row(&[
-        "multiblock writes".into(),
-        s1.multiblock_writes.to_string(),
-        "24306".into(),
-        s2.multiblock_writes.to_string(),
-        "2098".into(),
-    ]);
-    t.row(&[
-        "write fraction %".into(),
-        pct(s1.write_fraction()),
-        "10.0".into(),
-        pct(s2.write_fraction()),
-        "28.3".into(),
-    ]);
-    t.row(&[
-        "disk-skew CV".into(),
-        format!("{:.2}", s1.disk_skew_cv()),
-        "moderate".into(),
-        format!("{:.2}", s2.disk_skew_cv()),
-        "high".into(),
-    ]);
-    print!("{}", t.render());
-    println!();
+    for (((metric, p1, p2), v1), v2) in paper.into_iter().zip(t1).zip(t2) {
+        t.row(&[metric.into(), v1, p1.into(), v2, p2.into()]);
+    }
+    let text = format!(
+        "== Table 2: trace characteristics (synthetic; Trace 1 at scale {}) ==\n\n{}\n",
+        w.t1_scale,
+        t.render()
+    );
+    Box::new(move |_| text)
 }
 
 /// Figure 4: synchronization policies × array size, RAID5 and Parity
 /// Striping, both traces. A Trace 2 @2× section is added because the SI
 /// pathology — the parity disk held spinning while a congested data disk
 /// finishes its read — only becomes visible once disks queue.
-pub fn fig4(w: &Workloads) {
-    println!("== Figure 4: response time (ms) by synchronization method vs N ==\n");
+pub fn fig4(plan: &mut Plan, _: &Workloads) -> Render {
     let policies = [
         SyncPolicy::SimultaneousIssue,
         SyncPolicy::ReadFirst,
         SyncPolicy::ReadFirstPriority,
         SyncPolicy::DiskFirst,
         SyncPolicy::DiskFirstPriority,
+    ]
+    .map(|p| (p.label(), p, mean as Cell));
+    let traces = [
+        ("Trace 1", TRACE1),
+        ("Trace 2", TRACE2),
+        ("Trace 2 @2x speed", TRACE2.at_speed(2.0)),
     ];
-    let trace2_2x = transform::at_speed(&w.trace2, 2.0);
-    let extended: [(&str, &Trace); 3] = [
-        ("Trace 1", &w.trace1),
-        ("Trace 2", &w.trace2),
-        ("Trace 2 @2x speed", &trace2_2x),
-    ];
-    for (tname, trace) in extended {
-        for org in [
-            Organization::Raid5 { striping_unit: 1 },
-            Organization::ParityStriping {
-                placement: ParityPlacement::Middle,
-            },
-        ] {
-            println!("-- {tname}, {} --", org.label());
-            let mut t = Table::new(&["N", "SI", "RF", "RF/PR", "DF", "DF/PR"]);
-            for n in [5u32, 10, 15, 20] {
-                let mut row = vec![n.to_string()];
-                for p in policies {
-                    let mut c = cfg(org, n, None);
-                    c.sync = p;
-                    row.push(ms(run(c, trace).mean_response_ms()));
-                }
-                t.row(&row);
-            }
-            print!("{}", t.render());
-            println!();
+    let mut parts = Vec::new();
+    for (tname, key) in traces {
+        for org in [RAID5, PARSTRIP] {
+            let title = format!("{tname}, {}", org.label());
+            parts.push(grid(plan, &title, "N", rows(&NS), &policies, |&n, sync| {
+                let mut c = cfg(org, n, None);
+                c.sync = sync;
+                (key, c)
+            }));
         }
     }
+    let head = "== Figure 4: response time (ms) by synchronization method vs N ==";
+    figure(head, parts)
 }
 
 /// Figure 5: non-cached response time vs array size for all four
 /// organizations.
-pub fn fig5(w: &Workloads) {
-    println!("== Figure 5: response time (ms) vs array size, non-cached ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["N", "Base", "Mirror", "RAID5", "ParStrip"]);
-        for n in [5u32, 10, 15, 20] {
-            let mut row = vec![n.to_string()];
-            for org in main_orgs() {
-                row.push(ms(run(cfg(org, n, None), trace).mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig5(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 5: response time (ms) vs array size, non-cached ==";
+    n_sweep(plan, head, &org_cols(&MAIN_ORGS))
 }
 
 /// Figures 6 & 7: per-disk access distribution, Base vs RAID5, Trace 1.
-pub fn fig6_7(w: &Workloads) {
-    println!("== Figures 6–7: distribution of accesses to disks (Trace 1) ==\n");
-    for org in [Organization::Base, Organization::Raid5 { striping_unit: 1 }] {
-        let r = run(cfg(org, 10, None), &w.trace1);
-        let c = &r.per_disk_accesses;
-        println!(
-            "-- {} : {} disks, CV {:.3}, peak/mean {:.2} --",
-            org.label(),
-            c.counts().len(),
-            c.coefficient_of_variation(),
-            c.peak_to_mean()
-        );
-        for (i, chunk) in c.counts().chunks(13).enumerate() {
-            let cells: Vec<String> = chunk.iter().map(|x| format!("{x:6}")).collect();
-            println!("  disks {:3}..: {}", i * 13, cells.join(" "));
+pub fn fig6_7(plan: &mut Plan, _: &Workloads) -> Render {
+    let ids = [BASE, RAID5].map(|org| (org, plan.point(TRACE1, cfg(org, 10, None))));
+    Box::new(move |res| {
+        let mut out =
+            String::from("== Figures 6–7: distribution of accesses to disks (Trace 1) ==\n\n");
+        for (org, id) in ids {
+            let c = &res[id].per_disk_accesses;
+            out += &format!(
+                "-- {} : {} disks, CV {:.3}, peak/mean {:.2} --\n",
+                org.label(),
+                c.counts().len(),
+                c.coefficient_of_variation(),
+                c.peak_to_mean()
+            );
+            for (i, chunk) in c.counts().chunks(13).enumerate() {
+                let cells: Vec<String> = chunk.iter().map(|x| format!("{x:6}")).collect();
+                out += &format!("  disks {:3}..: {}\n", i * 13, cells.join(" "));
+            }
+            out += "\n";
         }
-        println!();
-    }
+        out
+    })
+}
+
+/// Non-cached response time vs array size, one column per organization.
+fn n_sweep(plan: &mut Plan, head: &str, cols: &[(&'static str, Organization, Cell)]) -> Render {
+    let point = |key, &n: &u32, org| (key, cfg(org, n, None));
+    per_trace(plan, head, "N", &rows(&NS), cols, point)
+}
+
+/// Response time vs striping unit at N = 10, one column per organization.
+fn striping(plan: &mut Plan, head: &str, cache_mb: Option<u64>, orgs: &[Organization]) -> Render {
+    let units = rows(&[1u32, 2, 4, 8, 16, 32, 64]);
+    let point = |key, &striping_unit: &u32, org| {
+        let org = match org {
+            RAID4 => Organization::Raid4 { striping_unit },
+            _ => Organization::Raid5 { striping_unit },
+        };
+        (key, cfg(org, 10, cache_mb))
+    };
+    per_trace(
+        plan,
+        head,
+        "striping unit (blocks)",
+        &units,
+        &org_cols(orgs),
+        point,
+    )
+}
+
+/// Response time vs trace speed at N = 10, one column per organization.
+fn speeds(plan: &mut Plan, head: &str, orgs: &[Organization], cache_mb: Option<u64>) -> Render {
+    let speeds = rows(&[0.5f64, 1.0, 2.0]);
+    let point = |key: TraceKey, &speed: &f64, org| (key.at_speed(speed), cfg(org, 10, cache_mb));
+    per_trace(plan, head, "speed", &speeds, &org_cols(orgs), point)
+}
+
+/// Statistics of N = 10 organizations vs cache size; each column names its
+/// organization and its statistic.
+fn cache_sweep(plan: &mut Plan, head: &str, cols: &[(&'static str, Organization, Cell)]) -> Render {
+    let sizes = rows(&[8u64, 16, 32, 64, 128, 256]);
+    let point = |key, &mb: &u64, org| (key, cfg(org, 10, Some(mb)));
+    per_trace(plan, head, "cache MB", &sizes, cols, point)
+}
+
+/// Cached response time vs array size, the cache per array growing with N.
+fn cache_per_n(plan: &mut Plan, head: &str, ns: [(u32, u64); 3], orgs: &[Organization]) -> Render {
+    let sizes = ns.map(|(n, mb)| (format!("{n} ({mb})"), (n, mb)));
+    let point = |key, &(n, mb): &(u32, u64), org| (key, cfg(org, n, Some(mb)));
+    per_trace(plan, head, "N (cache MB)", &sizes, &org_cols(orgs), point)
+}
+
+fn read_hit(r: &SimReport) -> String {
+    pct(r.read_hit_ratio())
+}
+
+fn write_hit(r: &SimReport) -> String {
+    pct(r.write_hit_ratio())
 }
 
 /// Figure 8: non-cached RAID5 response time vs striping unit.
-pub fn fig8(w: &Workloads) {
-    println!("== Figure 8: RAID5 response time (ms) vs striping unit, non-cached ==\n");
-    striping_sweep(w, None, false);
-}
-
-fn striping_sweep(w: &Workloads, cache_mb: Option<u64>, include_raid4: bool) {
-    let units = [1u32, 2, 4, 8, 16, 32, 64];
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut headers = vec!["striping unit (blocks)", "RAID5"];
-        if include_raid4 {
-            headers.push("RAID4");
-        }
-        let mut t = Table::new(&headers);
-        for su in units {
-            let mut row = vec![su.to_string()];
-            row.push(ms(run(
-                cfg(Organization::Raid5 { striping_unit: su }, 10, cache_mb),
-                trace,
-            )
-            .mean_response_ms()));
-            if include_raid4 {
-                row.push(ms(run(
-                    cfg(Organization::Raid4 { striping_unit: su }, 10, cache_mb),
-                    trace,
-                )
-                .mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig8(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 8: RAID5 response time (ms) vs striping unit, non-cached ==";
+    striping(plan, head, None, &[RAID5])
 }
 
 /// Figure 9: Parity Striping parity placement (middle vs end cylinders)
 /// vs array size.
-pub fn fig9(w: &Workloads) {
-    println!("== Figure 9: Parity Striping response time (ms) by parity placement ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["N", "middle", "end"]);
-        for n in [5u32, 10, 15, 20] {
-            let mut row = vec![n.to_string()];
-            for placement in [ParityPlacement::Middle, ParityPlacement::End] {
-                row.push(ms(run(
-                    cfg(Organization::ParityStriping { placement }, n, None),
-                    trace,
-                )
-                .mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig9(plan: &mut Plan, _: &Workloads) -> Render {
+    let end = Organization::ParityStriping {
+        placement: ParityPlacement::End,
+    };
+    let head = "== Figure 9: Parity Striping response time (ms) by parity placement ==";
+    n_sweep(
+        plan,
+        head,
+        &[("middle", PARSTRIP, mean), ("end", end, mean)],
+    )
 }
 
 /// Figure 10: non-cached response time vs trace speed.
-pub fn fig10(w: &Workloads) {
-    println!("== Figure 10: response time (ms) vs trace speed, non-cached ==\n");
-    speed_sweep(w, &main_orgs(), None);
-}
-
-fn speed_sweep(w: &Workloads, orgs: &[Organization], cache_mb: Option<u64>) {
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut headers: Vec<&str> = vec!["speed"];
-        headers.extend(orgs.iter().map(|o| o.label()));
-        let mut t = Table::new(&headers);
-        for speed in [0.5f64, 1.0, 2.0] {
-            let scaled = transform::at_speed(trace, speed);
-            let mut row = vec![format!("{speed}")];
-            for &org in orgs {
-                row.push(ms(run(cfg(org, 10, cache_mb), &scaled).mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig10(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 10: response time (ms) vs trace speed, non-cached ==";
+    speeds(plan, head, &MAIN_ORGS, None)
 }
 
 /// Figure 11: read/write hit ratios vs cache size, parity vs non-parity
 /// organizations.
-pub fn fig11(w: &Workloads) {
-    println!("== Figure 11: hit ratios (%) vs cache size ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&[
-            "cache MB",
-            "read Base",
-            "read RAID5",
-            "write Base",
-            "write RAID5",
-        ]);
-        for mb in [8u64, 16, 32, 64, 128, 256] {
-            let base = run(cfg(Organization::Base, 10, Some(mb)), trace);
-            let raid = run(
-                cfg(Organization::Raid5 { striping_unit: 1 }, 10, Some(mb)),
-                trace,
-            );
-            t.row(&[
-                mb.to_string(),
-                pct(base.read_hit_ratio()),
-                pct(raid.read_hit_ratio()),
-                pct(base.write_hit_ratio()),
-                pct(raid.write_hit_ratio()),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig11(plan: &mut Plan, _: &Workloads) -> Render {
+    cache_sweep(
+        plan,
+        "== Figure 11: hit ratios (%) vs cache size ==",
+        &[
+            ("read Base", BASE, read_hit),
+            ("read RAID5", RAID5, read_hit),
+            ("write Base", BASE, write_hit),
+            ("write RAID5", RAID5, write_hit),
+        ],
+    )
 }
 
 /// Figure 12: cached response time vs cache size for all organizations.
-pub fn fig12(w: &Workloads) {
-    println!("== Figure 12: response time (ms) vs cache size, cached ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["cache MB", "Base", "Mirror", "RAID5", "ParStrip"]);
-        for mb in [8u64, 16, 32, 64, 128, 256] {
-            let mut row = vec![mb.to_string()];
-            for org in main_orgs() {
-                row.push(ms(run(cfg(org, 10, Some(mb)), trace).mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig12(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 12: response time (ms) vs cache size, cached ==";
+    cache_sweep(plan, head, &org_cols(&MAIN_ORGS))
 }
 
 /// Figure 13: cached response time vs array size at constant total cache
 /// (N=5 ⇒ 8 MB/array, N=10 ⇒ 16 MB, N=15 ⇒ 24 MB).
-pub fn fig13(w: &Workloads) {
-    println!("== Figure 13: response time (ms) vs array size, cached (cache ∝ N) ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["N (cache MB)", "Base", "Mirror", "RAID5", "ParStrip"]);
-        for (n, mb) in [(5u32, 8u64), (10, 16), (15, 24)] {
-            let mut row = vec![format!("{n} ({mb})")];
-            for org in main_orgs() {
-                row.push(ms(run(cfg(org, n, Some(mb)), trace).mean_response_ms()));
-            }
-            t.row(&row);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig13(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 13: response time (ms) vs array size, cached (cache ∝ N) ==";
+    cache_per_n(plan, head, [(5, 8), (10, 16), (15, 24)], &MAIN_ORGS)
 }
 
 /// Figure 14: cached RAID5 response time vs striping unit.
-pub fn fig14(w: &Workloads) {
-    println!("== Figure 14: cached RAID5 response time (ms) vs striping unit ==\n");
-    striping_sweep(w, Some(16), false);
+pub fn fig14(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 14: cached RAID5 response time (ms) vs striping unit ==";
+    striping(plan, head, Some(16), &[RAID5])
 }
 
 /// Figure 15: RAID5 (data caching) vs RAID4 (data + parity caching) hit
 /// ratios vs cache size.
-pub fn fig15(w: &Workloads) {
-    println!("== Figure 15: hit ratios (%) vs cache size, RAID5 vs RAID4 ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&[
-            "cache MB",
-            "read RAID5",
-            "read RAID4",
-            "write RAID5",
-            "write RAID4",
-        ]);
-        for mb in [8u64, 16, 32, 64, 128, 256] {
-            let r5 = run(
-                cfg(Organization::Raid5 { striping_unit: 1 }, 10, Some(mb)),
-                trace,
-            );
-            let r4 = run(
-                cfg(Organization::Raid4 { striping_unit: 1 }, 10, Some(mb)),
-                trace,
-            );
-            t.row(&[
-                mb.to_string(),
-                pct(r5.read_hit_ratio()),
-                pct(r4.read_hit_ratio()),
-                pct(r5.write_hit_ratio()),
-                pct(r4.write_hit_ratio()),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig15(plan: &mut Plan, _: &Workloads) -> Render {
+    cache_sweep(
+        plan,
+        "== Figure 15: hit ratios (%) vs cache size, RAID5 vs RAID4 ==",
+        &[
+            ("read RAID5", RAID5, read_hit),
+            ("read RAID4", RAID4, read_hit),
+            ("write RAID5", RAID5, write_hit),
+            ("write RAID4", RAID4, write_hit),
+        ],
+    )
 }
 
 /// Figure 16: RAID5 vs RAID4 response time vs cache size.
-pub fn fig16(w: &Workloads) {
-    println!("== Figure 16: response time (ms) vs cache size, RAID5 vs RAID4 ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["cache MB", "RAID5", "RAID4", "RAID4 spool peak"]);
-        for mb in [8u64, 16, 32, 64, 128, 256] {
-            let r5 = run(
-                cfg(Organization::Raid5 { striping_unit: 1 }, 10, Some(mb)),
-                trace,
-            );
-            let r4 = run(
-                cfg(Organization::Raid4 { striping_unit: 1 }, 10, Some(mb)),
-                trace,
-            );
-            t.row(&[
-                mb.to_string(),
-                ms(r5.mean_response_ms()),
-                ms(r4.mean_response_ms()),
-                r4.spool_peak.to_string(),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig16(plan: &mut Plan, _: &Workloads) -> Render {
+    cache_sweep(
+        plan,
+        "== Figure 16: response time (ms) vs cache size, RAID5 vs RAID4 ==",
+        &[
+            ("RAID5", RAID5, mean),
+            ("RAID4", RAID4, mean),
+            ("RAID4 spool peak", RAID4, |r| r.spool_peak.to_string()),
+        ],
+    )
 }
 
 /// Figure 17: RAID4 vs RAID5 response time vs array size (cache ∝ N).
-pub fn fig17(w: &Workloads) {
-    println!("== Figure 17: response time (ms) vs array size, RAID4 vs RAID5 (cache ∝ N) ==\n");
-    for (tname, trace) in w.named() {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["N (cache MB)", "RAID5", "RAID4"]);
-        for (n, mb) in [(5u32, 8u64), (10, 16), (20, 32)] {
-            t.row(&[
-                format!("{n} ({mb})"),
-                ms(run(
-                    cfg(Organization::Raid5 { striping_unit: 1 }, n, Some(mb)),
-                    trace,
-                )
-                .mean_response_ms()),
-                ms(run(
-                    cfg(Organization::Raid4 { striping_unit: 1 }, n, Some(mb)),
-                    trace,
-                )
-                .mean_response_ms()),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-    }
+pub fn fig17(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 17: response time (ms) vs array size, RAID4 vs RAID5 (cache ∝ N) ==";
+    cache_per_n(plan, head, [(5, 8), (10, 16), (20, 32)], &[RAID5, RAID4])
 }
 
 /// Figure 18: RAID4 vs RAID5 response time vs trace speed (16 MB cache).
-pub fn fig18(w: &Workloads) {
-    println!("== Figure 18: response time (ms) vs trace speed, RAID4 vs RAID5, cached ==\n");
-    speed_sweep(
-        w,
-        &[
-            Organization::Raid5 { striping_unit: 1 },
-            Organization::Raid4 { striping_unit: 1 },
-        ],
-        Some(16),
-    );
+pub fn fig18(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 18: response time (ms) vs trace speed, RAID4 vs RAID5, cached ==";
+    speeds(plan, head, &[RAID5, RAID4], Some(16))
 }
 
 /// Figure 19: RAID4 vs RAID5 response time vs striping unit (16 MB cache).
-pub fn fig19(w: &Workloads) {
-    println!("== Figure 19: response time (ms) vs striping unit, RAID4 vs RAID5, cached ==\n");
-    striping_sweep(w, Some(16), true);
+pub fn fig19(plan: &mut Plan, _: &Workloads) -> Render {
+    let head = "== Figure 19: response time (ms) vs striping unit, RAID4 vs RAID5, cached ==";
+    striping(plan, head, Some(16), &[RAID5, RAID4])
 }
 
 /// Extension experiment (beyond the paper's figures): degraded-mode
@@ -521,61 +478,35 @@ pub fn fig19(w: &Workloads) {
 /// performance during reconstruction following a disk failure"; this
 /// quantifies steady-state degraded response time for each redundant
 /// organization and its growth with N.
-pub fn degraded(w: &Workloads) {
-    println!("== Extension: degraded-mode response time (one failed disk, Trace 2) ==\n");
-    let orgs: [(Organization, Option<u64>); 4] = [
-        (Organization::Mirror, None),
-        (Organization::Raid5 { striping_unit: 1 }, None),
-        (
-            Organization::ParityStriping {
-                placement: ParityPlacement::Middle,
-            },
-            None,
-        ),
-        (Organization::Raid4 { striping_unit: 1 }, Some(16)),
+pub fn degraded(plan: &mut Plan, _: &Workloads) -> Render {
+    // A column's parameter: run with disk 0 of array 0 failed.
+    let point = |c: &SimConfig, failed: bool| {
+        let mut c = c.clone();
+        c.failed_disk = failed.then_some((0, 0));
+        (TRACE2, c)
+    };
+    let by_org = [MIRROR, RAID5, PARSTRIP, RAID4].map(|org| {
+        let (label, cache) = match org {
+            RAID4 => ("RAID4 (cached)", Some(16)),
+            _ => (org.label(), None),
+        };
+        (label.to_string(), cfg(org, 10, cache))
+    });
+    let ops_per_req: Cell = |r| format!("{:.2}", r.disk_ops as f64 / r.requests_completed as f64);
+    let cols = [
+        ("healthy ms", false, mean as Cell),
+        ("degraded ms", true, mean),
+        ("ops/req degraded", true, ops_per_req),
     ];
-    let mut t = Table::new(&[
-        "organization",
-        "healthy ms",
-        "degraded ms",
-        "ops/req degraded",
-    ]);
-    for (org, cache) in orgs {
-        let healthy = run(cfg(org, 10, cache), &w.trace2);
-        let mut c = cfg(org, 10, cache);
-        c.failed_disk = Some((0, 0));
-        let deg = run(c, &w.trace2);
-        t.row(&[
-            format!(
-                "{}{}",
-                org.label(),
-                if cache.is_some() { " (cached)" } else { "" }
-            ),
-            ms(healthy.mean_response_ms()),
-            ms(deg.mean_response_ms()),
-            format!("{:.2}", deg.disk_ops as f64 / deg.requests_completed as f64),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- degraded RAID5 vs array size (reconstruction fan-out ∝ N) --");
-    let mut t = Table::new(&["N", "healthy ms", "degraded ms"]);
-    for n in [5u32, 10, 20] {
-        let healthy = run(
-            cfg(Organization::Raid5 { striping_unit: 1 }, n, None),
-            &w.trace2,
-        );
-        let mut c = cfg(Organization::Raid5 { striping_unit: 1 }, n, None);
-        c.failed_disk = Some((0, 0));
-        let deg = run(c, &w.trace2);
-        t.row(&[
-            n.to_string(),
-            ms(healthy.mean_response_ms()),
-            ms(deg.mean_response_ms()),
-        ]);
-    }
-    print!("{}", t.render());
-    println!();
+    let by_n = [5u32, 10, 20].map(|n| (n.to_string(), cfg(RAID5, n, None)));
+    let by_n_title = "degraded RAID5 vs array size (reconstruction fan-out ∝ N)";
+    figure(
+        "== Extension: degraded-mode response time (one failed disk, Trace 2) ==",
+        [
+            grid(plan, "", "organization", by_org, &cols, point),
+            grid(plan, by_n_title, "N", by_n, &cols[..2], point),
+        ],
+    )
 }
 
 /// Extension experiment: the full failure *timeline* — a disk dies mid-run,
@@ -585,8 +516,7 @@ pub fn degraded(w: &Workloads) {
 /// worse performance during reconstruction following a disk failure":
 /// Mirror rebuilds from one surviving partner, RAID5 pays a max-of-N
 /// reconstruction read per batch and the largest degraded penalty.
-pub fn rebuild(w: &Workloads) {
-    println!("== Extension: mid-run disk failure, online rebuild onto a hot spare (Trace 2) ==\n");
+pub fn rebuild(plan: &mut Plan, _: &Workloads) -> Render {
     let fail = FaultConfig {
         disk_failure: Some(DiskFailure {
             array: 0,
@@ -597,81 +527,73 @@ pub fn rebuild(w: &Workloads) {
         rebuild_rate_mbps: 10,
         ..FaultConfig::default()
     };
-    let orgs: [Organization; 3] = [
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ];
-    println!("-- disk 0 fails at t = 60 s; rebuild throttled to 10 MB/s --");
-    let mut t = Table::new(&[
-        "organization",
-        "healthy ms",
-        "degraded ms",
-        "rebuild s",
-        "aborted",
-        "replayed",
-    ]);
-    for org in orgs {
-        let mut c = cfg(org, 10, None);
-        c.fault = Some(fail);
-        let r = run(c, &w.trace2);
-        let Some(f) = r.faults.as_ref() else { continue };
-        t.row(&[
-            org.label().to_string(),
-            ms(f.response_healthy_ms.mean()),
-            ms(f.degraded_mean_ms()),
-            format!("{:.1}", f.rebuild_ms / 1000.0),
-            f.ops_aborted.to_string(),
-            f.ops_replayed.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- transient media errors, RAID5: controller retry with backoff --");
-    let mut t = Table::new(&["error prob", "errors", "retries", "escalations", "mean ms"]);
-    for p in [1e-4, 1e-3, 1e-2] {
-        let mut c = cfg(Organization::Raid5 { striping_unit: 1 }, 10, None);
-        c.fault = Some(FaultConfig {
-            transient_error_prob: p,
-            ..FaultConfig::default()
-        });
-        let r = run(c, &w.trace2);
-        let Some(f) = r.faults.as_ref() else { continue };
-        t.row(&[
-            format!("{p:.0e}"),
-            f.transient_errors.to_string(),
-            f.retries.to_string(),
-            f.escalations.to_string(),
-            ms(r.mean_response_ms()),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- NVRAM battery outage, cached RAID5 (16 MB): write-through failover --");
-    let mut t = Table::new(&["battery", "mean ms", "write-through", "outage s"]);
-    for (label, outage) in [
+    let orgs = [MIRROR, RAID5, PARSTRIP].map(|o| (o.label().to_string(), o));
+    let error_probs = [1e-4, 1e-3, 1e-2].map(|p: f64| (format!("{p:.0e}"), p));
+    let outages = [
         ("healthy", None),
         ("out 60 s → 180 s", Some((60_000, 180_000))),
-    ] {
-        let mut c = cfg(Organization::Raid5 { striping_unit: 1 }, 10, Some(16));
-        c.fault = Some(FaultConfig {
-            battery_fail_at_ms: outage.map(|(a, _)| a),
-            battery_restore_at_ms: outage.map(|(_, b)| b),
-            ..FaultConfig::default()
-        });
-        let r = run(c, &w.trace2);
-        let Some(f) = r.faults.as_ref() else { continue };
-        t.row(&[
-            label.to_string(),
-            ms(r.mean_response_ms()),
-            f.writes_written_through.to_string(),
-            format!("{:.0}", f.battery_window_ms / 1000.0),
-        ]);
-    }
-    print!("{}", t.render());
-    println!();
+    ]
+    .map(|(label, outage)| (label.to_string(), outage));
+    let failure = metrics(
+        plan,
+        "disk 0 fails at t = 60 s; rebuild throttled to 10 MB/s",
+        "organization",
+        orgs,
+        &[
+            ("healthy ms", |r| ms(faults(r).response_healthy_ms.mean())),
+            ("degraded ms", |r| ms(faults(r).degraded_mean_ms())),
+            ("rebuild s", |r| {
+                format!("{:.1}", faults(r).rebuild_ms / 1000.0)
+            }),
+            ("aborted", |r| faults(r).ops_aborted.to_string()),
+            ("replayed", |r| faults(r).ops_replayed.to_string()),
+        ],
+        |&org| (TRACE2, with_fault(cfg(org, 10, None), fail)),
+    );
+    let transient = metrics(
+        plan,
+        "transient media errors, RAID5: controller retry with backoff",
+        "error prob",
+        error_probs,
+        &[
+            ("errors", |r| faults(r).transient_errors.to_string()),
+            ("retries", |r| faults(r).retries.to_string()),
+            ("escalations", |r| faults(r).escalations.to_string()),
+            ("mean ms", mean),
+        ],
+        |&p| {
+            let fault = FaultConfig {
+                transient_error_prob: p,
+                ..FaultConfig::default()
+            };
+            (TRACE2, with_fault(cfg(RAID5, 10, None), fault))
+        },
+    );
+    let battery = metrics(
+        plan,
+        "NVRAM battery outage, cached RAID5 (16 MB): write-through failover",
+        "battery",
+        outages,
+        &[
+            ("mean ms", mean),
+            ("write-through", |r| {
+                faults(r).writes_written_through.to_string()
+            }),
+            ("outage s", |r| {
+                format!("{:.0}", faults(r).battery_window_ms / 1000.0)
+            }),
+        ],
+        |outage| {
+            let fault = FaultConfig {
+                battery_fail_at_ms: outage.map(|(at, _)| at),
+                battery_restore_at_ms: outage.map(|(_, until)| until),
+                ..FaultConfig::default()
+            };
+            (TRACE2, with_fault(cfg(RAID5, 10, Some(16)), fault))
+        },
+    );
+    let head = "== Extension: mid-run disk failure, online rebuild onto a hot spare (Trace 2) ==";
+    figure(head, [failure, transient, battery])
 }
 
 /// Extension experiment: the failure *lifecycle* beyond a single clean
@@ -691,206 +613,139 @@ pub fn rebuild(w: &Workloads) {
 ///    the rebuilding spare (restart onto the next spare), hitting it with
 ///    the pool exhausted (stays degraded), and hitting a second data disk
 ///    (data loss, accounted — not a panic).
-pub fn reliability(w: &Workloads) {
-    println!("== Extension: failure lifecycle — sparing, scrubbing, multi-failure (Trace 2) ==\n");
+pub fn reliability(plan: &mut Plan, _: &Workloads) -> Render {
     let fail0 = DiskFailure {
         array: 0,
         disk: 0,
         at_ms: 30_000,
     };
-
-    println!("-- disk 0 fails at t = 30 s; unthrottled rebuild; hot vs distributed sparing --");
-    let orgs: [Organization; 3] = [
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ];
-    let mut t = Table::new(&[
+    let raid5 = |fault| (TRACE2, with_fault(cfg(RAID5, 10, None), fault));
+    let orgs = [MIRROR, RAID5, PARSTRIP].map(|o| (o.label().to_string(), o));
+    let rebuild_s: Cell = |r| format!("{:.1}", faults(r).rebuild_ms / 1000.0);
+    let exposure_s: Cell = |r| format!("{:.1}", lifecycle(r).exposure_ms / 1000.0);
+    let degraded_ms: Cell = |r| ms(faults(r).degraded_mean_ms());
+    let (hot, dist) = (SparingMode::Hot, SparingMode::Distributed);
+    let sparing = grid(
+        plan,
+        "disk 0 fails at t = 30 s; unthrottled rebuild; hot vs distributed sparing",
         "organization",
-        "rebuild s hot",
-        "rebuild s dist",
-        "exposure s hot",
-        "exposure s dist",
-        "degraded ms hot",
-        "degraded ms dist",
-    ]);
-    for org in orgs {
-        let mut rebuild = Vec::new();
-        let mut exposure = Vec::new();
-        let mut degraded = Vec::new();
-        for sparing in [SparingMode::Hot, SparingMode::Distributed] {
-            let mut c = cfg(org, 10, None);
-            c.fault = Some(FaultConfig {
+        orgs,
+        &[
+            ("rebuild s hot", hot, rebuild_s),
+            ("rebuild s dist", dist, rebuild_s),
+            ("exposure s hot", hot, exposure_s),
+            ("exposure s dist", dist, exposure_s),
+            ("degraded ms hot", hot, degraded_ms),
+            ("degraded ms dist", dist, degraded_ms),
+        ],
+        |&org, sparing| {
+            let fault = FaultConfig {
                 disk_failure: Some(fail0),
                 spare: true,
                 sparing,
                 rebuild_rate_mbps: 0,
                 ..FaultConfig::default()
-            });
-            let r = run(c, &w.trace2);
-            let Some(f) = r.faults.as_ref() else { continue };
-            let Some(rel) = r.reliability.as_ref() else {
-                continue;
             };
-            rebuild.push(f.rebuild_ms / 1000.0);
-            exposure.push(rel.exposure_ms / 1000.0);
-            degraded.push(f.degraded_mean_ms());
-        }
-        t.row(&[
-            org.label().to_string(),
-            format!("{:.1}", rebuild[0]),
-            format!("{:.1}", rebuild[1]),
-            format!("{:.1}", exposure[0]),
-            format!("{:.1}", exposure[1]),
-            ms(degraded[0]),
-            ms(degraded[1]),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- latent sector errors vs background scrub, RAID5 (1/disk-hour) --");
-    let mut t = Table::new(&[
+            (TRACE2, with_fault(cfg(org, 10, None), fault))
+        },
+    );
+    let scrubbing = metrics(
+        plan,
+        "latent sector errors vs background scrub, RAID5 (1/disk-hour)",
         "scrub MB/s",
-        "latent found",
-        "repaired",
-        "coverage %",
-        "blocks lost",
-        "lost reads",
-    ]);
-    for scrub_rate_mbps in [0u64, 4, 16] {
-        let mut c = cfg(Organization::Raid5 { striping_unit: 1 }, 10, None);
-        c.fault = Some(FaultConfig {
-            latent_rate_per_hour: 1.0,
-            scrub_rate_mbps,
-            ..FaultConfig::default()
-        });
-        let r = run(c, &w.trace2);
-        let Some(rel) = r.reliability.as_ref() else {
-            continue;
-        };
-        t.row(&[
-            scrub_rate_mbps.to_string(),
-            rel.latent_errors.to_string(),
-            rel.latent_repaired.to_string(),
-            format!("{:.1}", rel.scrub_coverage * 100.0),
-            rel.blocks_lost.to_string(),
-            rel.lost_reads.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- multi-failure escalation, RAID5 (first failure: disk 0 at 30 s) --");
-    let scenarios: [(&str, DiskFailure, u32); 3] = [
-        (
-            "spare dies at 60 s, pool of 2",
-            DiskFailure {
-                array: 0,
-                disk: 0,
-                at_ms: 60_000,
-            },
-            2,
-        ),
-        (
-            "spare dies at 60 s, pool of 1",
-            DiskFailure {
-                array: 0,
-                disk: 0,
-                at_ms: 60_000,
-            },
-            1,
-        ),
-        (
-            "second data disk at 60 s",
-            DiskFailure {
-                array: 0,
-                disk: 3,
-                at_ms: 60_000,
-            },
-            2,
-        ),
-    ];
-    let mut t = Table::new(&[
+        rows(&[0u64, 4, 16]),
+        &[
+            ("latent found", |r| lifecycle(r).latent_errors.to_string()),
+            ("repaired", |r| lifecycle(r).latent_repaired.to_string()),
+            ("coverage %", |r| {
+                format!("{:.1}", lifecycle(r).scrub_coverage * 100.0)
+            }),
+            ("blocks lost", |r| lifecycle(r).blocks_lost.to_string()),
+            ("lost reads", |r| lifecycle(r).lost_reads.to_string()),
+        ],
+        |&scrub_rate_mbps| {
+            raid5(FaultConfig {
+                latent_rate_per_hour: 1.0,
+                scrub_rate_mbps,
+                ..FaultConfig::default()
+            })
+        },
+    );
+    // (scenario, disk that fails second at 60 s, spare pool size)
+    let scenarios = [
+        ("spare dies at 60 s, pool of 2", 0, 2),
+        ("spare dies at 60 s, pool of 1", 0, 1),
+        ("second data disk at 60 s", 3, 2),
+    ]
+    .map(|(label, disk, spares)| (label.to_string(), (disk, spares)));
+    let escalation = metrics(
+        plan,
+        "multi-failure escalation, RAID5 (first failure: disk 0 at 30 s)",
         "scenario",
-        "health",
-        "failures",
-        "spares used",
-        "blocks lost",
-        "lost reads",
-        "loss at s",
-    ]);
-    for (label, second, spare_count) in scenarios {
-        let mut c = cfg(Organization::Raid5 { striping_unit: 1 }, 10, None);
-        c.fault = Some(FaultConfig {
-            disk_failure: Some(fail0),
-            second_failure: Some(second),
-            spare: true,
-            spare_count,
-            rebuild_rate_mbps: 10,
-            ..FaultConfig::default()
-        });
-        let r = run(c, &w.trace2);
-        let Some(rel) = r.reliability.as_ref() else {
-            continue;
-        };
-        t.row(&[
-            label.to_string(),
-            rel.health.clone(),
-            rel.disk_failures.to_string(),
-            rel.spares_used.to_string(),
-            rel.blocks_lost.to_string(),
-            rel.lost_reads.to_string(),
-            rel.data_loss_at_ms
-                .map_or_else(|| "-".into(), |v| format!("{:.1}", v / 1000.0)),
-        ]);
-    }
-    print!("{}", t.render());
-    println!();
+        scenarios,
+        &[
+            ("health", |r| lifecycle(r).health.clone()),
+            ("failures", |r| lifecycle(r).disk_failures.to_string()),
+            ("spares used", |r| lifecycle(r).spares_used.to_string()),
+            ("blocks lost", |r| lifecycle(r).blocks_lost.to_string()),
+            ("lost reads", |r| lifecycle(r).lost_reads.to_string()),
+            ("loss at s", |r| {
+                let at = lifecycle(r).data_loss_at_ms;
+                at.map_or_else(|| "-".into(), |v| format!("{:.1}", v / 1000.0))
+            }),
+        ],
+        |&(disk, spare_count)| {
+            raid5(FaultConfig {
+                disk_failure: Some(fail0),
+                second_failure: Some(DiskFailure {
+                    at_ms: 60_000,
+                    disk,
+                    ..fail0
+                }),
+                spare: true,
+                spare_count,
+                rebuild_rate_mbps: 10,
+                ..FaultConfig::default()
+            })
+        },
+    );
+    let head = "== Extension: failure lifecycle — sparing, scrubbing, multi-failure (Trace 2) ==";
+    figure(head, [sparing, scrubbing, escalation])
 }
-
-/// An experiment: its CLI id and the function that prints it.
-pub type Experiment = (&'static str, fn(&Workloads));
 
 /// Extension experiment: fine-grained parity striping (the paper's closing
 /// future-work item — "the use of a smaller striping unit for the parity in
 /// order to balance the parity update load in the Parity Striping
 /// organization"). Data placement stays sequential; only the parity
 /// assignment rotates per band.
-pub fn finegrain(w: &Workloads) {
-    println!("== Extension: fine-grained parity striping (Trace 2) ==\n");
-    let variants = [
-        ("pinned (middle)", ParityPlacement::Middle),
-        (
-            "rotated, 256-block bands",
-            ParityPlacement::MiddleRotated { band_blocks: 256 },
-        ),
-        (
-            "rotated, 1024-block bands",
-            ParityPlacement::MiddleRotated { band_blocks: 1024 },
-        ),
-    ];
-    for (tname, trace) in [
-        ("Trace 2", w.trace2.clone()),
-        ("Trace 2 @2x speed", transform::at_speed(&w.trace2, 2.0)),
-    ] {
-        println!("-- {tname} --");
-        let mut t = Table::new(&["parity layout", "mean ms", "disk-access CV", "max util %"]);
-        for (label, placement) in variants {
-            let r = run(
-                cfg(Organization::ParityStriping { placement }, 10, None),
-                &trace,
-            );
-            t.row(&[
-                label.to_string(),
-                ms(r.mean_response_ms()),
-                format!("{:.3}", r.per_disk_accesses.coefficient_of_variation()),
-                format!("{:.1}", r.max_disk_utilization() * 100.0),
-            ]);
+pub fn finegrain(plan: &mut Plan, _: &Workloads) -> Render {
+    let variants = [None, Some(256), Some(1024)].map(|band| match band {
+        None => ("pinned (middle)".to_string(), PARSTRIP),
+        Some(band_blocks) => {
+            let placement = ParityPlacement::MiddleRotated { band_blocks };
+            let label = format!("rotated, {band_blocks}-block bands");
+            (label, Organization::ParityStriping { placement })
         }
-        print!("{}", t.render());
-        println!();
-    }
+    });
+    let traces = [
+        ("Trace 2", TRACE2),
+        ("Trace 2 @2x speed", TRACE2.at_speed(2.0)),
+    ];
+    let cols: [(&str, Cell); 3] = [
+        ("mean ms", mean),
+        ("disk-access CV", |r| {
+            format!("{:.3}", r.per_disk_accesses.coefficient_of_variation())
+        }),
+        ("max util %", |r| {
+            format!("{:.1}", r.max_disk_utilization() * 100.0)
+        }),
+    ];
+    let parts = traces.map(|(tname, key)| {
+        let point = |&org: &Organization| (key, cfg(org, 10, None));
+        metrics(plan, tname, "parity layout", variants.clone(), &cols, point)
+    });
+    let head = "== Extension: fine-grained parity striping (Trace 2) ==";
+    figure(head, parts)
 }
 
 /// Observability extension: decompose each organization's mean response
@@ -901,8 +756,7 @@ pub fn finegrain(w: &Workloads) {
 /// (the RMW turnaround of Section 3.3), Parity Striping's penalty
 /// seek-dominated (long arm travel to the dedicated parity region), and
 /// cached residual write cost mostly destage interference.
-pub fn breakdown(w: &Workloads) {
-    println!("== Breakdown: response-time decomposition (mean ms per phase) ==\n");
+pub fn breakdown(plan: &mut Plan, _: &Workloads) -> Render {
     let header = [
         "organization",
         "dir",
@@ -916,37 +770,66 @@ pub fn breakdown(w: &Workloads) {
         "xfer",
         "parity",
     ];
-    let rows_for = |t: &mut Table, label: &str, r: &SimReport| {
-        for (dir, ph, mean) in [
-            ("R", &r.phases_reads, r.mean_read_ms()),
-            ("W", &r.phases_writes, r.mean_write_ms()),
-        ] {
-            let mut row = vec![label.to_string(), dir.to_string(), ms(mean)];
-            row.extend(ph.means_ms().iter().map(|(_, m)| ms(*m)));
-            t.row(&row);
-        }
-    };
-    for (tname, trace) in w.named() {
-        println!("-- {tname}, no cache --");
-        let mut t = Table::new(&header);
-        for org in main_orgs() {
-            let r = run(cfg(org, 10, None), trace);
-            rows_for(&mut t, org.label(), &r);
-        }
-        print!("{}", t.render());
-        println!();
+    let parts = by_direction(plan, &header, "", &[Discipline::Fcfs], |r, writes| {
+        let (mean, phases) = direction(r, writes);
+        let phases = phases.means_ms().map(|(_, m)| ms(m));
+        [ms(mean)].into_iter().chain(phases).collect()
+    });
+    let head = "== Breakdown: response-time decomposition (mean ms per phase) ==";
+    figure(head, parts)
+}
+
+/// The mean read (or write) response time and its phase decomposition.
+fn direction(r: &SimReport, writes: bool) -> (f64, &PhaseWelfords) {
+    match writes {
+        false => (r.mean_read_ms(), &r.phases_reads),
+        true => (r.mean_write_ms(), &r.phases_writes),
     }
-    println!("-- Trace 2, 4 MB NV cache --");
-    let mut t = Table::new(&header);
-    for org in [
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::Raid4 { striping_unit: 1 },
-    ] {
-        let r = run(cfg(org, 10, Some(4)), &w.trace2);
-        rows_for(&mut t, org.label(), &r);
-    }
-    print!("{}", t.render());
-    println!();
+}
+
+/// `breakdown`'s three sections — Trace 1 and Trace 2 uncached (titles
+/// followed by `note`), Trace 2 RAID5/RAID4 with a 4 MB cache — with two
+/// rows per organization, reads then writes. Each organization runs once
+/// per discipline; a row's cells are `cells(report, writes)` of each run.
+fn by_direction(
+    plan: &mut Plan,
+    header: &[&'static str],
+    note: &str,
+    disciplines: &[Discipline],
+    cells: fn(&SimReport, bool) -> Vec<String>,
+) -> [Render; 3] {
+    let sections = [
+        (TRACE1, &MAIN_ORGS[..], None),
+        (TRACE2, &MAIN_ORGS[..], None),
+        (TRACE2, &[RAID5, RAID4][..], Some(4)),
+    ];
+    sections.map(|(key, orgs, cache_mb)| {
+        let title = match cache_mb {
+            None => format!("{}, no cache{note}", key.name()),
+            Some(mb) => format!("{}, {mb} MB NV cache", key.name()),
+        };
+        let header = header.to_vec();
+        let ids: Vec<(&str, Vec<Id>)> = orgs
+            .iter()
+            .map(|&org| {
+                let configs = disciplines
+                    .iter()
+                    .map(|&d| scheduled(cfg(org, 10, cache_mb), d));
+                (org.label(), configs.map(|c| plan.point(key, c)).collect())
+            })
+            .collect();
+        Box::new(move |res: &[SimReport]| {
+            let mut t = Table::new(&header);
+            for (label, ids) in ids {
+                for (dir, writes) in [("R", false), ("W", true)] {
+                    let mut row = vec![label.to_string(), dir.to_string()];
+                    row.extend(ids.iter().flat_map(|&id| cells(&res[id], writes)));
+                    t.row(&row);
+                }
+            }
+            section(&title, &t)
+        }) as Render
+    })
 }
 
 /// Extension experiment: disk scheduling disciplines. The paper's
@@ -958,146 +841,97 @@ pub fn breakdown(w: &Workloads) {
 /// all five organizations at Trace 2 @2× speed, where queues are deep
 /// enough for reordering to matter, and reports per-discipline mean seek
 /// distance and foreground queue depth.
-pub fn scheduling(w: &Workloads) {
-    println!("== Scheduling: queue disciplines (FCFS vs SSTF vs SCAN) ==\n");
-    let header = ["organization", "dir", "FCFS", "SSTF", "SCAN"];
-    let rows_for = |t: &mut Table, label: &str, reports: &[SimReport]| {
-        for (dir, mean) in [
-            ("R", SimReport::mean_read_ms as fn(&SimReport) -> f64),
-            ("W", SimReport::mean_write_ms),
-        ] {
-            let mut row = vec![label.to_string(), dir.to_string()];
-            row.extend(reports.iter().map(|r| ms(mean(r))));
-            t.row(&row);
-        }
-    };
-    let sweep = |t: &mut Table, org: Organization, cache_mb: Option<u64>, trace: &Trace| {
-        let reports: Vec<SimReport> = Discipline::ALL
-            .into_iter()
-            .map(|d| {
-                let mut c = cfg(org, 10, cache_mb);
-                c.scheduler = d;
-                run(c, trace)
-            })
-            .collect();
-        rows_for(t, org.label(), &reports);
-    };
-    for (tname, trace) in w.named() {
-        println!("-- {tname}, no cache (FCFS columns = `breakdown` means) --");
-        let mut t = Table::new(&header);
-        for org in main_orgs() {
-            sweep(&mut t, org, None, trace);
-        }
-        print!("{}", t.render());
-        println!();
-    }
-    println!("-- Trace 2, 4 MB NV cache --");
-    let mut t = Table::new(&header);
-    for org in [
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::Raid4 { striping_unit: 1 },
-    ] {
-        sweep(&mut t, org, Some(4), &w.trace2);
-    }
-    print!("{}", t.render());
-
-    println!("\n-- Trace 2 @2x speed, no cache: high load, all organizations --");
-    let trace = transform::at_speed(&w.trace2, 2.0);
-    let mut t = Table::new(&[
+pub fn scheduling(plan: &mut Plan, _: &Workloads) -> Render {
+    let [t1, t2, cached] = by_direction(
+        plan,
+        &["organization", "dir", "FCFS", "SSTF", "SCAN"],
+        " (FCFS columns = `breakdown` means)",
+        &Discipline::ALL,
+        |r, writes| vec![ms(direction(r, writes).0)],
+    );
+    let high_load = [BASE, MIRROR, RAID5, RAID4, PARSTRIP]
+        .into_iter()
+        .flat_map(|org| Discipline::ALL.map(|d| (org.label().to_string(), (org, d))));
+    let high_load = metrics(
+        plan,
+        "Trace 2 @2x speed, no cache: high load, all organizations",
         "organization",
-        "discipline",
-        "mean ms",
-        "p95 ms",
-        "seek cyl",
-        "qdepth N",
-    ]);
-    let all_orgs = [
-        Organization::Base,
-        Organization::Mirror,
-        Organization::Raid5 { striping_unit: 1 },
-        Organization::Raid4 { striping_unit: 1 },
-        Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        },
-    ];
-    for org in all_orgs {
-        for d in Discipline::ALL {
-            let mut c = cfg(org, 10, None);
-            c.scheduler = d;
+        high_load,
+        &[
+            ("discipline", |r| scheduler(r).discipline.clone()),
+            ("mean ms", mean),
+            ("p95 ms", |r| ms(r.quantile_ms(0.95))),
+            ("seek cyl", |r| {
+                format!("{:.1}", scheduler(r).mean_seek_distance_cyl())
+            }),
+            ("qdepth N", |r| {
+                format!("{:.2}", scheduler(r).queue_depth_normal.mean())
+            }),
+        ],
+        |&(org, d)| {
+            let mut c = scheduled(cfg(org, 10, None), d);
             c.observability.scheduler_stats = true;
-            let r = run(c, &trace);
-            let s = r
-                .scheduler
-                .as_ref()
-                .expect("scheduler_stats attaches statistics");
-            t.row(&[
-                org.label().to_string(),
-                d.label().to_string(),
-                ms(r.mean_response_ms()),
-                ms(r.quantile_ms(0.95)),
-                format!("{:.1}", s.mean_seek_distance_cyl()),
-                format!("{:.2}", s.queue_depth_normal.mean()),
-            ]);
-        }
-    }
-    print!("{}", t.render());
-    println!();
+            (TRACE2.at_speed(2.0), c)
+        },
+    );
+    let head = "== Scheduling: queue disciplines (FCFS vs SSTF vs SCAN) ==";
+    figure(head, [t1, t2, cached, high_load])
 }
 
 /// Fleet audit: the built-in 16-VA heterogeneous fleet, reported per
-/// virtual array and per tenant (traces are generated by the fleet router,
-/// so the shared workloads are unused).
-pub fn fleet(_w: &Workloads) {
-    println!("== Fleet: 16 heterogeneous virtual arrays, one trace router ==\n");
-    let cfg = FleetConfig::demo();
-    let (report, _) = run_fleet(&cfg, 0).expect("the built-in demo fleet runs");
-    println!(
-        "{} requests | {:.1} s simulated | {:.0} events/sim-s\n",
-        report.requests_completed, report.elapsed_secs, report.events_per_sim_sec,
-    );
-    let mut t = Table::new(&[
-        "array",
-        "org",
-        "class",
-        "completed",
-        "mean ms",
-        "p99 ms",
-        "state",
-        "tenants",
-    ]);
-    for va in &report.vas {
-        t.row(&[
-            va.name.clone(),
-            va.organization.clone(),
-            va.disk_class.clone(),
-            va.report.requests_completed.to_string(),
-            ms(va.report.mean_response_ms()),
-            ms(va.report.quantile_ms(0.99)),
-            if va.degraded { "degraded" } else { "ok" }.to_string(),
-            va.tenants.join(","),
+/// virtual array and per tenant. The fleet router generates its own
+/// traces, so this declares no points and runs the fleet when rendered.
+pub fn fleet(_: &mut Plan, _: &Workloads) -> Render {
+    Box::new(|_| {
+        let (report, _) = run_fleet(&FleetConfig::demo(), 0).expect("the built-in demo fleet runs");
+        let mut out = format!(
+            "== Fleet: 16 heterogeneous virtual arrays, one trace router ==\n\n\
+             {} requests | {:.1} s simulated | {:.0} events/sim-s\n\n",
+            report.requests_completed, report.elapsed_secs, report.events_per_sim_sec,
+        );
+        let mut t = Table::new(&[
+            "array",
+            "org",
+            "class",
+            "completed",
+            "mean ms",
+            "p99 ms",
+            "state",
+            "tenants",
         ]);
-    }
-    print!("{}", t.render());
+        for va in &report.vas {
+            t.row(&[
+                va.name.clone(),
+                va.organization.clone(),
+                va.disk_class.clone(),
+                va.report.requests_completed.to_string(),
+                mean(&va.report),
+                ms(va.report.quantile_ms(0.99)),
+                if va.degraded { "degraded" } else { "ok" }.to_string(),
+                va.tenants.join(","),
+            ]);
+        }
+        out += &t.render();
 
-    println!("\n-- per tenant --");
-    let mut t = Table::new(&["tenant", "array", "completed", "mean ms", "p99 ms", "state"]);
-    for tr in &report.tenants {
-        t.row(&[
-            tr.id.clone(),
-            tr.va.clone(),
-            tr.completed.to_string(),
-            ms(tr.response_ms.mean()),
-            ms(tr.p99_ms),
-            if tr.degraded { "degraded" } else { "ok" }.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-    if report.blast_radius.is_empty() {
-        println!("\nno disk failures: blast radius empty");
-    } else {
-        println!("\nrebuild blast radius: {}", report.blast_radius.join(", "));
-    }
-    println!();
+        let mut t = Table::new(&["tenant", "array", "completed", "mean ms", "p99 ms", "state"]);
+        for tr in &report.tenants {
+            t.row(&[
+                tr.id.clone(),
+                tr.va.clone(),
+                tr.completed.to_string(),
+                ms(tr.response_ms.mean()),
+                ms(tr.p99_ms),
+                if tr.degraded { "degraded" } else { "ok" }.to_string(),
+            ]);
+        }
+        out += &format!("\n-- per tenant --\n{}", t.render());
+        let blast = match report.blast_radius.join(", ") {
+            b if b.is_empty() => "no disk failures: blast radius empty".to_string(),
+            b => format!("rebuild blast radius: {b}"),
+        };
+        out += &format!("\n{blast}\n\n");
+        out
+    })
 }
 
 /// All experiment ids in paper order.
@@ -1107,7 +941,6 @@ pub const ALL: &[Experiment] = &[
     ("fig4", fig4),
     ("fig5", fig5),
     ("fig6", fig6_7),
-    ("fig7", fig6_7),
     ("fig8", fig8),
     ("fig9", fig9),
     ("fig10", fig10),
@@ -1129,28 +962,91 @@ pub const ALL: &[Experiment] = &[
     ("fleet", fleet),
 ];
 
+/// Ids that print another id's experiment: Figures 6 and 7 are one table.
+pub const ALIASES: &[(&str, &str)] = &[("fig7", "fig6")];
+
+/// The experiment `id` names, aliases resolved.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    let id = ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == id)
+        .map_or(id, |(_, target)| target);
+    ALL.iter().find(|(e, _)| *e == id)
+}
+
+/// Declare `selected` into one plan, simulate its distinct points once on
+/// `threads` workers (0 = the machine's available parallelism), and render
+/// each experiment in selection order. Also returns the plan, for its point
+/// counts.
+pub fn render(
+    selected: &[&Experiment],
+    w: &Workloads,
+    threads: usize,
+) -> Result<(Plan, Vec<String>), String> {
+    let mut plan = Plan::default();
+    let renders: Vec<Render> = selected
+        .iter()
+        .map(|(_, declare)| declare(&mut plan, w))
+        .collect();
+    let results = plan.run(w, threads)?;
+    let texts = renders.into_iter().map(|r| r(&results)).collect();
+    Ok((plan, texts))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every experiment function runs to completion on tiny workloads.
-    /// (Shapes are asserted in the integration suite; this is a smoke test
-    /// that the harness itself is wired correctly.)
+    /// Every experiment renders byte-identically on one worker and on
+    /// three: the plan's results come back in declaration order whichever
+    /// thread ran them.
     #[test]
-    fn all_experiments_run_on_tiny_workloads() {
+    fn every_experiment_renders_the_same_at_1_and_3_threads() {
         let w = Workloads::tiny();
-        // Skip duplicated fig7 alias.
-        for (id, f) in ALL.iter().filter(|(id, _)| *id != "fig7") {
-            eprintln!("running {id}");
-            f(&w);
+        let all: Vec<&Experiment> = ALL.iter().collect();
+        let (_, one) = render(&all, &w, 1).unwrap();
+        let (_, three) = render(&all, &w, 3).unwrap();
+        assert_eq!(one.len(), all.len());
+        for (((id, _), a), b) in all.iter().zip(&one).zip(&three) {
+            assert!(a.starts_with("== "), "{id} printed no header");
+            assert_eq!(a, b, "{id} differs between 1 and 3 threads");
+        }
+    }
+
+    /// Shared points are simulated once: the whole plan has fewer distinct
+    /// points than declared ones, and Fig 16 reads exactly Fig 15's points.
+    #[test]
+    fn the_plan_dedupes_shared_points() {
+        let w = Workloads::tiny();
+        let mut plan = Plan::default();
+        for (_, declare) in ALL {
+            let _declared_only = declare(&mut plan, &w);
+        }
+        assert!(plan.distinct() < plan.declared());
+
+        let (f15, f16) = (find("fig15").unwrap().1, find("fig16").unwrap().1);
+        for (first, second) in [(f15, f16), (f16, f15)] {
+            let mut plan = Plan::default();
+            let _declared_only = first(&mut plan, &w);
+            let n = plan.distinct();
+            let _declared_only = second(&mut plan, &w);
+            assert_eq!(
+                plan.distinct(),
+                n,
+                "Fig 15 and Fig 16 must share every point"
+            );
         }
     }
 
     #[test]
     fn ids_are_unique_and_ordered() {
         let mut seen = std::collections::BTreeSet::new();
-        for (id, _) in ALL.iter().filter(|(id, _)| *id != "fig7") {
+        for (id, _) in ALL {
             assert!(seen.insert(*id), "duplicate id {id}");
+        }
+        for (alias, target) in ALIASES {
+            assert!(!seen.contains(alias), "alias {alias} shadows an id");
+            assert_eq!(find(alias).map(|e| e.0), Some(*target));
         }
     }
 }

@@ -10,10 +10,11 @@
 //! Experiments run on synthetic re-creations of the paper's two traces
 //! (see the `tracegen` crate). Trace 1 is scaled down by default
 //! (`RAIDTP_T1_SCALE`, default 0.1 ⇒ ≈336 k requests at the original
-//! arrival rate) so the whole suite completes in minutes; Trace 2 runs at
-//! full length. Absolute milliseconds therefore differ from the paper —
-//! the *shape* (orderings, crossovers, trends) is the reproduction target,
-//! and `EXPERIMENTS.md` records both sides per experiment.
+//! arrival rate); Trace 2 runs at full length. The selected experiments
+//! share one [`plan::Plan`], which simulates each distinct point once, on
+//! every core. Absolute milliseconds differ from the paper — the *shape*
+//! (orderings, crossovers, trends) is the reproduction target, and
+//! `EXPERIMENTS.md` records both sides per experiment.
 
 #![expect(
     clippy::expect_used,
@@ -22,6 +23,7 @@
 )]
 
 pub mod experiments;
+pub mod plan;
 
 use tracegen::{SynthSpec, Trace};
 
@@ -73,10 +75,6 @@ impl Workloads {
             t1_scale: 0.002,
         }
     }
-
-    pub fn named(&self) -> [(&'static str, &Trace); 2] {
-        [("Trace 1", &self.trace1), ("Trace 2", &self.trace2)]
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +86,6 @@ mod tests {
         let w = Workloads::tiny();
         assert!(!w.trace1.is_empty());
         assert!(!w.trace2.is_empty());
-        assert_eq!(w.named()[0].0, "Trace 1");
     }
 
     #[test]

@@ -86,3 +86,19 @@ fn usage_errors_exit_2() {
         assert!(!out.stderr.is_empty(), "{exe} {args:?}");
     }
 }
+
+/// An id named twice, directly or through an alias (fig7 is fig6), prints
+/// once, at its first place.
+#[test]
+fn figures_prints_an_aliased_experiment_once() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig6", "table1", "fig7"])
+        .env("RAIDTP_T1_SCALE", "0.002")
+        .output()
+        .expect("figures runs");
+    let stdout = text(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    assert_eq!(stdout.matches("== Figures 6–7").count(), 1, "{stdout}");
+    let fig6 = stdout.find("== Figures 6–7");
+    assert!(fig6 < stdout.find("== Table 1"), "{stdout}");
+}

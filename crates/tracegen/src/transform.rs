@@ -68,6 +68,19 @@ mod tests {
         fast.validate().unwrap();
     }
 
+    /// Speed 1.0 returns the trace unchanged, so a replay "at 1x" can use
+    /// the base trace itself instead of a copy.
+    #[test]
+    fn at_speed_one_is_the_trace_itself() {
+        for t in [
+            toy(),
+            crate::SynthSpec::trace1().scaled(0.01).generate(),
+            crate::SynthSpec::trace2().generate(),
+        ] {
+            assert!(at_speed(&t, 1.0) == t);
+        }
+    }
+
     #[test]
     fn at_speed_half_slows_down() {
         let slow = at_speed(&toy(), 0.5);
