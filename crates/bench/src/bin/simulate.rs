@@ -16,6 +16,7 @@
     reason = "driver code: times runs by the wall clock"
 )]
 
+use bench::experiments::fleet_tables;
 use raidsim::{
     run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, Organization,
     ParityPlacement, SimConfig, Simulator, SparingMode, SyncPolicy,
@@ -205,47 +206,7 @@ fn run_fleet_cli(args: &Args, spec: &str) -> ! {
     let (report, _) = run_fleet(&fleet, threads).unwrap_or_else(|e| die(&e));
     eprintln!("simulated in {:.2?}\n", t0.elapsed());
 
-    println!(
-        "fleet: {} requests completed | {:.1} s simulated | {:.0} events/sim-s",
-        report.requests_completed, report.elapsed_secs, report.events_per_sim_sec,
-    );
-    println!(
-        "\n{:<8} {:<8} {:<6} {:>9} {:>9} {:>9}  tenants",
-        "array", "org", "class", "completed", "mean ms", "p99 ms"
-    );
-    for va in &report.vas {
-        println!(
-            "{:<8} {:<8} {:<6} {:>9} {:>9.2} {:>9.1}  {}{}",
-            va.name,
-            va.organization,
-            va.disk_class,
-            va.report.requests_completed,
-            va.report.mean_response_ms(),
-            va.report.quantile_ms(0.99),
-            va.tenants.join(","),
-            if va.degraded { "  [degraded]" } else { "" },
-        );
-    }
-    println!(
-        "\n{:<10} {:<8} {:>9} {:>9} {:>9}",
-        "tenant", "array", "completed", "mean ms", "p99 ms"
-    );
-    for t in &report.tenants {
-        println!(
-            "{:<10} {:<8} {:>9} {:>9.2} {:>9.1}{}",
-            t.id,
-            t.va,
-            t.completed,
-            t.response_ms.mean(),
-            t.p99_ms,
-            if t.degraded { "  [degraded]" } else { "" },
-        );
-    }
-    if report.blast_radius.is_empty() {
-        println!("\nno disk failures: blast radius empty");
-    } else {
-        println!("\nrebuild blast radius: {}", report.blast_radius.join(", "));
-    }
+    print!("{}", fleet_tables(&report));
     std::process::exit(0)
 }
 

@@ -12,8 +12,8 @@ use crate::Workloads;
 use diskmodel::{DiskGeometry, SeekCurve};
 use raidsim::{
     run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FaultReport, FleetConfig,
-    Organization, ParityPlacement, PhaseWelfords, ReliabilityReport, SchedulerReport, SimConfig,
-    SimReport, SparingMode, SyncPolicy,
+    FleetReport, Organization, ParityPlacement, PhaseWelfords, ReliabilityReport, SchedulerReport,
+    SimConfig, SimReport, SparingMode, SyncPolicy,
 };
 use raidtp_stats::table::{ms, pct};
 use raidtp_stats::Table;
@@ -879,59 +879,68 @@ pub fn scheduling(plan: &mut Plan, _: &Workloads) -> Render {
 }
 
 /// Fleet audit: the built-in 16-VA heterogeneous fleet, reported per
-/// virtual array and per tenant. The fleet router generates its own
+/// virtual array and per tenant. Each VA job generates its own tenants'
 /// traces, so this declares no points and runs the fleet when rendered.
 pub fn fleet(_: &mut Plan, _: &Workloads) -> Render {
     Box::new(|_| {
         let (report, _) = run_fleet(&FleetConfig::demo(), 0).expect("the built-in demo fleet runs");
-        let mut out = format!(
-            "== Fleet: 16 heterogeneous virtual arrays, one trace router ==\n\n\
-             {} requests | {:.1} s simulated | {:.0} events/sim-s\n\n",
-            report.requests_completed, report.elapsed_secs, report.events_per_sim_sec,
-        );
-        let mut t = Table::new(&[
-            "array",
-            "org",
-            "class",
-            "completed",
-            "mean ms",
-            "p99 ms",
-            "state",
-            "tenants",
-        ]);
-        for va in &report.vas {
-            t.row(&[
-                va.name.clone(),
-                va.organization.clone(),
-                va.disk_class.clone(),
-                va.report.requests_completed.to_string(),
-                mean(&va.report),
-                ms(va.report.quantile_ms(0.99)),
-                if va.degraded { "degraded" } else { "ok" }.to_string(),
-                va.tenants.join(","),
-            ]);
-        }
-        out += &t.render();
-
-        let mut t = Table::new(&["tenant", "array", "completed", "mean ms", "p99 ms", "state"]);
-        for tr in &report.tenants {
-            t.row(&[
-                tr.id.clone(),
-                tr.va.clone(),
-                tr.completed.to_string(),
-                ms(tr.response_ms.mean()),
-                ms(tr.p99_ms),
-                if tr.degraded { "degraded" } else { "ok" }.to_string(),
-            ]);
-        }
-        out += &format!("\n-- per tenant --\n{}", t.render());
-        let blast = match report.blast_radius.join(", ") {
-            b if b.is_empty() => "no disk failures: blast radius empty".to_string(),
-            b => format!("rebuild blast radius: {b}"),
-        };
-        out += &format!("\n{blast}\n\n");
-        out
+        format!(
+            "== Fleet: 16 heterogeneous virtual arrays, one trace router ==\n\n{}\n",
+            fleet_tables(&report)
+        )
     })
+}
+
+/// The fleet report as text: totals, the per-VA and per-tenant tables and
+/// the rebuild blast radius. `figures fleet` and `simulate --fleet` both
+/// print through it.
+pub fn fleet_tables(report: &FleetReport) -> String {
+    let state = |degraded: bool| if degraded { "degraded" } else { "ok" }.to_string();
+    let mut out = format!(
+        "{} requests | {:.1} s simulated | {:.0} events/sim-s\n\n",
+        report.requests_completed, report.elapsed_secs, report.events_per_sim_sec,
+    );
+    let mut t = Table::new(&[
+        "array",
+        "org",
+        "class",
+        "completed",
+        "mean ms",
+        "p99 ms",
+        "state",
+        "tenants",
+    ]);
+    for va in &report.vas {
+        t.row(&[
+            va.name.clone(),
+            va.organization.clone(),
+            va.disk_class.clone(),
+            va.report.requests_completed.to_string(),
+            mean(&va.report),
+            ms(va.report.quantile_ms(0.99)),
+            state(va.degraded),
+            va.tenants.join(","),
+        ]);
+    }
+    out += &t.render();
+
+    let mut t = Table::new(&["tenant", "array", "completed", "mean ms", "p99 ms", "state"]);
+    for tr in &report.tenants {
+        t.row(&[
+            tr.id.clone(),
+            tr.va.clone(),
+            tr.completed.to_string(),
+            ms(tr.response_ms.mean()),
+            ms(tr.p99_ms),
+            state(tr.degraded),
+        ]);
+    }
+    out += &format!("\n-- per tenant --\n{}", t.render());
+    let blast = match report.blast_radius.join(", ") {
+        b if b.is_empty() => "no disk failures: blast radius empty".to_string(),
+        b => format!("rebuild blast radius: {b}"),
+    };
+    out + &format!("\n{blast}\n")
 }
 
 /// All experiment ids in paper order.

@@ -102,3 +102,27 @@ fn figures_prints_an_aliased_experiment_once() {
     let fig6 = stdout.find("== Figures 6–7");
     assert!(fig6 < stdout.find("== Table 1"), "{stdout}");
 }
+
+/// `simulate --fleet` and `figures fleet` print the demo fleet through one
+/// renderer: below its header, `figures fleet` prints exactly what
+/// `simulate --fleet demo` prints.
+#[test]
+fn simulate_and_figures_print_the_same_fleet_tables() {
+    let out = run(
+        env!("CARGO_BIN_EXE_simulate"),
+        &["--fleet", "demo", "--threads", "1"],
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    let simulate = text(&out.stdout);
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg("fleet")
+        .env("RAIDTP_T1_SCALE", "0.002")
+        .output()
+        .expect("figures runs");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    let figures = text(&out.stdout);
+    let (header, tables) = figures.split_once("\n\n").expect("a header line");
+    assert!(header.starts_with("== Fleet: "), "{figures}");
+    assert!(simulate.contains("-- per tenant --"), "{simulate}");
+    assert_eq!(tables, format!("{simulate}\n"));
+}

@@ -20,16 +20,13 @@
 use super::config::{DiskClass, FleetConfig, TenantSpec, VirtualArraySpec};
 use crate::config::{CacheConfig, Organization, SimConfig};
 
-/// One planned virtual array: its spec resolved against the disk pool,
-/// pinned to a contiguous span of fleet-global logical disks.
+/// One planned virtual array: its spec resolved against the disk pool.
 #[derive(Clone, Debug)]
 pub struct VaPlan {
     pub name: String,
     pub organization: Organization,
     pub disk_class: String,
-    /// First fleet-global logical disk of this VA's span.
-    pub base_disk: u32,
-    /// Span width = logical data disks.
+    /// Logical data disks; tenant substreams address `0..data_disks`.
     pub data_disks: u32,
     /// Ready-to-run simulator configuration (shared fleet seed, class
     /// geometry and seek, per-VA cache and fault plan).
@@ -38,18 +35,12 @@ pub struct VaPlan {
     pub tenants: Vec<usize>,
 }
 
-/// The resolved fleet: placements plus the logical-disk geometry the trace
-/// router needs.
+/// The resolved fleet: every VA and the one VA hosting each tenant.
 #[derive(Clone, Debug)]
 pub struct FleetPlan {
     pub vas: Vec<VaPlan>,
     /// `placement[t]` is the VA index hosting tenant `t`.
     pub placement: Vec<usize>,
-    /// Sum of the VA spans — the master trace's disk count.
-    pub total_logical_disks: u32,
-    /// Largest `blocks_per_disk` across the classes in use — the master
-    /// trace's address cap.
-    pub max_blocks_per_disk: u64,
 }
 
 /// Nominal random-access rate of one drive of `class`, accesses/second:
@@ -94,15 +85,13 @@ pub(super) fn va_sim_config(
     }
 }
 
-/// Resolve the fleet spec into a plan: validate, pin VA spans, place every
-/// tenant by best fit. Errors name the offending tenant and the exhausted
+/// Resolve the fleet spec into a plan: validate, configure every VA, place
+/// every tenant by best fit. Errors name the offending tenant and the exhausted
 /// resource.
 pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
     fleet.validate()?;
 
     let mut vas = Vec::with_capacity(fleet.arrays.len());
-    let mut base = 0u32;
-    let mut max_bpd = 0u64;
     // Residual capability per VA: physical accesses/sec and blocks.
     let mut resid_bw = Vec::with_capacity(fleet.arrays.len());
     let mut resid_cap = Vec::with_capacity(fleet.arrays.len());
@@ -113,7 +102,6 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
         )]
         let class = fleet.class(&va.disk_class).expect("validated class");
         let bpd = class.geometry.blocks_per_disk();
-        max_bpd = max_bpd.max(bpd);
         resid_bw
             .push(disk_access_rate(class) * va.organization.disks_per_array(va.data_disks) as f64);
         resid_cap.push(va.data_disks as u64 * bpd);
@@ -121,12 +109,10 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
             name: va.name.clone(),
             organization: va.organization,
             disk_class: va.disk_class.clone(),
-            base_disk: base,
             data_disks: va.data_disks,
             config: va_sim_config(fleet, va, class),
             tenants: Vec::new(),
         });
-        base += va.data_disks;
     }
 
     let mut placement = Vec::with_capacity(fleet.tenants.len());
@@ -174,12 +160,7 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
         placement.push(v);
     }
 
-    Ok(FleetPlan {
-        vas,
-        placement,
-        total_logical_disks: base,
-        max_blocks_per_disk: max_bpd,
-    })
+    Ok(FleetPlan { vas, placement })
 }
 
 #[cfg(test)]
@@ -193,13 +174,6 @@ mod tests {
         let b = allocate(&fleet).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.placement.len(), fleet.tenants.len());
-        // Spans are contiguous and disjoint in declaration order.
-        let mut expect = 0;
-        for va in &a.vas {
-            assert_eq!(va.base_disk, expect);
-            expect += va.data_disks;
-        }
-        assert_eq!(a.total_logical_disks, expect);
         // Every placed tenant is recorded on its VA.
         for (t, &v) in a.placement.iter().enumerate() {
             assert!(a.vas[v].tenants.contains(&t));

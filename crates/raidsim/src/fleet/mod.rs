@@ -1,4 +1,5 @@
-//! Fleet layer: many heterogeneous virtual arrays behind one trace router.
+//! Fleet layer: many heterogeneous virtual arrays, each fed by the tenants
+//! placed on it.
 //!
 //! The single-array simulator answers "how does *one* organization behave
 //! under *one* workload". Real installations — and the heterogeneous disk
@@ -14,16 +15,14 @@
 //!   with field-naming validation (a malformed spec reports the offending
 //!   field, never panics).
 //! - [`alloc`]: [`allocate`] — a single-pass best-fit planner on bandwidth
-//!   and capacity, turning tenant demands into placements on VAs and VAs
-//!   into per-VA [`crate::SimConfig`]s over contiguous fleet-global logical
-//!   disk spans.
-//! - [`run`]: [`run_fleet`] — per-tenant substreams routed through
-//!   [`tracegen::route`] into one master arrival stream, pre-split by VA
-//!   via [`tracegen::Trace::split_arrivals`] (every record lands in exactly
-//!   one VA), then simulated serially or work-stealing-parallel across VAs
-//!   on the sweep's pool, with per-disk-class warm-start pools. Results
-//!   merge in VA index order, so the parallel run is byte-identical to the
-//!   serial one.
+//!   and capacity, placing every tenant on exactly one VA and resolving
+//!   each VA into its [`crate::SimConfig`].
+//! - [`run`]: [`run_fleet`] — one job per VA on the sweep's pool: the job
+//!   generates the seeded substreams of its own tenants (already in the
+//!   VA's disk numbering), merges them on (arrival time, tenant index),
+//!   and simulates, warm-started from its disk class's pool. No fleet-wide
+//!   trace exists. Results merge in VA index order, so the parallel run is
+//!   byte-identical to the serial one.
 //! - [`report`]: [`FleetReport`] — per-VA [`crate::SimReport`]s, per-tenant
 //!   response statistics (mean + p99 from exact Welford/histogram merges),
 //!   fleet throughput in events per *simulated* second (never wall-clock,

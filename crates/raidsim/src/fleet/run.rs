@@ -1,14 +1,14 @@
-//! Fleet execution: generate and route tenant substreams, pre-split by
-//! virtual array, simulate VAs serially or in parallel, merge in VA index
-//! order.
+//! Fleet execution: one job per virtual array, run serially or in
+//! parallel, merged in VA index order.
 //!
-//! Tenant substreams are independent too, each a pure function of its own
-//! seeded spec, so they are generated on the same pool before the router
-//! merges them in tenant order.
+//! Every tenant is placed on exactly one VA, so a VA's arrival stream is
+//! the merge of its own tenants' substreams and nothing else. Each VA job
+//! generates those substreams (each a pure function of its own seeded
+//! spec, already in VA-local disk numbering), merges them, drops them,
+//! and simulates. No fleet-wide trace is ever built.
 //!
-//! Virtual arrays share no simulator state (each is its own `Simulator`
-//! over its own pre-split arrival feed), so whole VAs are the jobs of the
-//! sweep's work-stealing pool (`sweep::ordered_map`). The pool returns
+//! Virtual arrays share no simulator state, so whole VAs are the jobs of
+//! the sweep's work-stealing pool (`sweep::ordered_map`). The pool returns
 //! results in VA index order regardless of completion order, which makes
 //! the parallel fleet run byte-identical to the serial one.
 //!
@@ -18,33 +18,23 @@
 //! per class warm-starts every VA of that class (cold fallback remains
 //! byte-identical by the single-array warm-start contract).
 
-use super::alloc::{allocate, FleetPlan};
+use super::alloc::{allocate, FleetPlan, VaPlan};
 use super::config::FleetConfig;
 use super::report::{FleetReport, VaOutcome};
-use crate::config::SimConfig;
 use crate::sim::{RunStats, Simulator, WarmDisks};
 use crate::sweep::ordered_map;
-use tracegen::{route, SynthSpec, TenantStream, Trace};
+use tracegen::{SynthSpec, Trace};
 
-/// One virtual array's ready-to-run inputs.
-pub(super) struct VaJob {
-    config: SimConfig,
-    /// The VA's arrivals in VA-local disk numbering.
-    trace: Trace,
-    /// Per-record tenant index (the request class).
-    classes: Vec<u16>,
-}
-
-/// Build tenant `t`'s substream spec: the Trace-2 OLTP shape re-skinned
-/// with the tenant's demand, skew, and write mix over its VA's span.
-fn tenant_substream(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> TenantStream {
+/// Tenant `t`'s substream spec: the Trace-2 OLTP shape re-skinned with the
+/// tenant's demand, skew, and write mix over its VA's data disks.
+fn tenant_spec(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> SynthSpec {
     let tenant = &fleet.tenants[t];
     let va = &plan.vas[plan.placement[t]];
     let mut spec = SynthSpec::trace2();
     spec.name = tenant.id.clone();
     // Per-tenant seed: the fleet seed mixed with the tenant index through
-    // the golden-ratio increment, so substreams are decorrelated but the
-    // whole fleet trace stays a pure function of (spec, fleet seed).
+    // the golden-ratio increment, so substreams are decorrelated but every
+    // VA's trace stays a pure function of (spec, fleet seed).
     spec.seed = fleet
         .seed
         .wrapping_add((t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -54,107 +44,91 @@ fn tenant_substream(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> TenantSt
     spec.n_requests = ((tenant.demand_iops * fleet.duration_secs).ceil() as usize).max(1);
     spec.write_fraction = tenant.write_fraction;
     spec.disk_skew_theta = tenant.skew;
-    TenantStream {
-        tenant: t as u16,
-        base_disk: va.base_disk,
-        spec,
-    }
+    spec
 }
 
-/// Route every tenant substream into the master stream and materialize one
-/// pre-split job per VA (records re-based to VA-local disk numbering, each
-/// tagged with its tenant class). The substreams are generated
-/// `threads`-wide on the sweep pool; each is a pure function of its spec
-/// and the merge takes them in tenant order, so any thread count routes
-/// the same master stream.
-fn build_jobs(fleet: &FleetConfig, plan: &FleetPlan, threads: usize) -> Result<Vec<VaJob>, String> {
-    let streams: Vec<TenantStream> = (0..fleet.tenants.len())
-        .map(|t| tenant_substream(fleet, plan, t))
-        .collect();
-    let routed = route(
-        plan.total_logical_disks,
-        plan.max_blocks_per_disk,
-        &streams,
-        |streams| ordered_map(streams.len(), threads, |t| streams[t].generate()),
-    )?;
-
-    // Fleet-global disk → owning VA.
-    let mut owner = vec![0usize; plan.total_logical_disks as usize];
-    for (v, va) in plan.vas.iter().enumerate() {
-        for d in va.base_disk..va.base_disk + va.data_disks {
-            owner[d as usize] = v;
+/// Merge one VA's tenant substreams into its arrival stream and tag every
+/// record with its tenant (the request class). Each substream must be
+/// sorted by arrival time, as [`SynthSpec::generate`] returns it.
+///
+/// **Tie rule.** Records merge on (arrival time, tenant index, generated
+/// order): on equal timestamps the tenant listed earlier in `subs` wins,
+/// and within one substream records keep their generated order. The
+/// runner lists a VA's tenants in ascending index order. The substreams
+/// are consumed, so they are freed before the simulation starts.
+fn merge_tenants(n_disks: u32, blocks_per_disk: u64, subs: Vec<(u16, Trace)>) -> (Trace, Vec<u16>) {
+    let total: usize = subs.iter().map(|(_, t)| t.len()).sum();
+    let mut trace = Trace::new(n_disks, blocks_per_disk);
+    trace.records.reserve_exact(total);
+    let mut classes = Vec::with_capacity(total);
+    // K-way merge: `pos[k]` is the cursor into substream `k`; the strict
+    // `<` keeps the earliest-listed substream on a tie.
+    let mut pos = vec![0usize; subs.len()];
+    loop {
+        let mut best: Option<usize> = None;
+        for (k, (_, t)) in subs.iter().enumerate() {
+            let Some(r) = t.records.get(pos[k]) else {
+                continue;
+            };
+            if best.is_none_or(|b| r.at < subs[b].1.records[pos[b]].at) {
+                best = Some(k);
+            }
         }
+        let Some(k) = best else {
+            break;
+        };
+        trace.records.push(subs[k].1.records[pos[k]]);
+        classes.push(subs[k].0);
+        pos[k] += 1;
     }
-    let mut split = routed
-        .master
-        .split_arrivals(plan.vas.len(), |r| owner[r.disk as usize]);
-
-    let jobs = plan
-        .vas
-        .iter()
-        .enumerate()
-        .map(|(v, va)| {
-            let indices = split.take_group(v);
-            let mut trace = Trace::new(va.data_disks, va.config.geometry.blocks_per_disk());
-            trace.records.reserve(indices.len());
-            let mut classes = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let mut r = routed.master.records[i as usize];
-                r.disk -= va.base_disk;
-                trace.records.push(r);
-                classes.push(routed.tenant_of[i as usize]);
-            }
-            VaJob {
-                config: va.config.clone(),
-                trace,
-                classes,
-            }
-        })
-        .collect();
-    Ok(jobs)
+    (trace, classes)
 }
 
-/// Simulate one VA job (warm-started from its class pool) and collect its
-/// outcome.
-fn run_job(job: &VaJob, warm: &WarmDisks, n_tenants: u16) -> Result<VaOutcome, String> {
-    let mut sim = Simulator::try_new_warm(job.config.clone(), &job.trace, warm)?;
-    sim.set_classes(job.classes.clone(), n_tenants)?;
+/// One VA's job: generate its tenants' substreams, merge them, and
+/// simulate the result, warm-started from its class pool.
+fn run_va(
+    fleet: &FleetConfig,
+    plan: &FleetPlan,
+    v: usize,
+    warm: &WarmDisks,
+) -> Result<VaOutcome, String> {
+    let va = &plan.vas[v];
+    let subs = va
+        .tenants
+        .iter()
+        .map(|&t| (t as u16, tenant_spec(fleet, plan, t).generate()))
+        .collect();
+    let bpd = va.config.geometry.blocks_per_disk();
+    let (trace, classes) = merge_tenants(va.data_disks, bpd, subs);
+    let mut sim = Simulator::try_new_warm(va.config.clone(), &trace, warm)?;
+    sim.set_classes(classes, fleet.tenants.len() as u16)?;
     let (report, stats, classes) = sim.run_classed();
     Ok(VaOutcome {
         report,
         stats,
         classes,
-        arrivals: job.trace.len() as u64,
+        arrivals: trace.len() as u64,
     })
 }
 
-/// Plan, route, and simulate the whole fleet, `threads`-wide (`0` uses the
-/// machine's available parallelism; `1` is fully serial). Any thread count
-/// returns byte-identical results.
+/// Plan and simulate the whole fleet, one job per VA, `threads`-wide (`0`
+/// uses the machine's available parallelism; `1` is fully serial). Any
+/// thread count returns byte-identical results.
 pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, RunStats), String> {
     let plan = allocate(fleet)?;
-    let jobs = build_jobs(fleet, &plan, threads)?;
-    let n_tenants = fleet.tenants.len() as u16;
 
     // One warm pool per disk class, sized for the class's largest VA.
-    let mut pools: Vec<(String, u32, WarmDisks)> = Vec::new();
-    for (v, va) in plan.vas.iter().enumerate() {
-        let size = jobs[v].config.total_disks(va.data_disks);
+    let mut pools: Vec<(&str, u32, WarmDisks)> = Vec::new();
+    for va in &plan.vas {
+        let size = va.config.total_disks(va.data_disks);
         match pools.iter_mut().find(|(name, ..)| *name == va.disk_class) {
             Some(p) if p.1 >= size => {}
-            Some(p) => {
-                p.1 = size;
-                p.2 = WarmDisks::new(&jobs[v].config, size);
-            }
-            None => pools.push((
-                va.disk_class.clone(),
-                size,
-                WarmDisks::new(&jobs[v].config, size),
-            )),
+            Some(p) => *p = (&va.disk_class, size, WarmDisks::new(&va.config, size)),
+            None => pools.push((&va.disk_class, size, WarmDisks::new(&va.config, size))),
         }
     }
     #[expect(clippy::expect_used, reason = "every VA's class was pooled above")]
-    let pool_of = |va: &super::alloc::VaPlan| {
+    let pool_of = |va: &VaPlan| {
         pools
             .iter()
             .find(|(name, ..)| *name == va.disk_class)
@@ -162,8 +136,8 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
             .expect("class pool exists")
     };
 
-    let results = ordered_map(jobs.len(), threads, |v| {
-        run_job(&jobs[v], pool_of(&plan.vas[v]), n_tenants)
+    let results = ordered_map(plan.vas.len(), threads, |v| {
+        run_va(fleet, &plan, v, pool_of(&plan.vas[v]))
     });
     // Merge in VA index order — completion order never leaks into the
     // report, which is what keeps every thread count byte-identical.
@@ -178,13 +152,16 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use simkit::SimTime;
+    use tracegen::{AccessType, TraceRecord};
 
     /// FNV-1a 64 over each record's fields, with the record count.
     fn tenant_digest(t: usize) -> String {
         let mut fleet = FleetConfig::demo();
         fleet.duration_secs = 60.0;
         let plan = allocate(&fleet).unwrap();
-        let trace = tenant_substream(&fleet, &plan, t).spec.generate();
+        let trace = tenant_spec(&fleet, &plan, t).generate();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for r in &trace.records {
             let fields = [
@@ -218,6 +195,115 @@ mod tests {
         assert_eq!(tenant_digest(2), "18372fdd7ec46570/3000");
     }
 
+    fn tiny_trace(seed: u64, n_disks: u32, n_requests: usize) -> Trace {
+        let mut s = SynthSpec::trace2();
+        s.seed = seed;
+        s.n_disks = n_disks;
+        s.n_requests = n_requests;
+        s.duration_secs = n_requests as f64 * 0.01;
+        s.generate()
+    }
+
+    /// The reference merge: the tenants' substreams concatenated in tenant
+    /// order, stable-sorted by arrival time, each record tagged with its
+    /// tenant.
+    fn reference(subs: &[(u16, Trace)]) -> (Vec<TraceRecord>, Vec<u16>) {
+        let mut all: Vec<(TraceRecord, u16)> = subs
+            .iter()
+            .flat_map(|(t, trace)| trace.records.iter().map(move |&r| (r, *t)))
+            .collect();
+        all.sort_by_key(|(r, _)| r.at);
+        all.into_iter().unzip()
+    }
+
+    #[test]
+    fn merge_is_time_sorted_and_complete() {
+        let subs = vec![(0, tiny_trace(1, 4, 200)), (1, tiny_trace(2, 4, 300))];
+        let (trace, classes) = merge_tenants(4, 226_800, subs);
+        assert_eq!(trace.len(), 500);
+        assert_eq!(classes.len(), 500);
+        assert!(trace.validate().is_ok());
+        assert!(trace.records.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(classes.iter().filter(|&&c| c == 0).count(), 200);
+    }
+
+    #[test]
+    fn merge_is_deterministic() {
+        let subs = || vec![(0, tiny_trace(7, 3, 150)), (1, tiny_trace(8, 3, 150))];
+        let a = merge_tenants(3, 226_800, subs());
+        let b = merge_tenants(3, 226_800, subs());
+        assert_eq!(a, b);
+    }
+
+    /// Three tenants arriving at the same instants merge in tenant order,
+    /// each tenant's records in generated order.
+    #[test]
+    fn ties_across_three_tenants_follow_tenant_order() {
+        let sub = |tenant: u16| {
+            let mut trace = Trace::new(2, 100);
+            for (i, ms) in [0, 0, 5].into_iter().enumerate() {
+                trace.records.push(TraceRecord {
+                    at: SimTime::from_ms(ms),
+                    disk: 0,
+                    block: tenant as u64 * 10 + i as u64,
+                    nblocks: 1,
+                    kind: AccessType::Write,
+                });
+            }
+            (tenant, trace)
+        };
+        let (trace, classes) = merge_tenants(2, 100, vec![sub(1), sub(4), sub(6)]);
+        let blocks: Vec<u64> = trace.records.iter().map(|r| r.block).collect();
+        assert_eq!(blocks, [10, 11, 40, 41, 60, 61, 12, 42, 62]);
+        assert_eq!(classes, [1, 1, 4, 4, 6, 6, 1, 4, 6]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The k-way merge equals the reference on random substreams of up
+        /// to five tenants. Arrival gaps of 0–2 ms force equal timestamps
+        /// within and across tenants, and gaps between tenant indices
+        /// mimic a VA hosting a subset of the fleet's tenants.
+        #[test]
+        fn merge_matches_the_stable_sort_reference(
+            raw in proptest::collection::vec(
+                (1u16..4, proptest::collection::vec((0u64..3, 0u32..4), 0..40)),
+                0..6,
+            ),
+        ) {
+            let mut tenant = 0u16;
+            let mut serial = 0u64;
+            let subs: Vec<(u16, Trace)> = raw
+                .into_iter()
+                .map(|(step, recs)| {
+                    tenant += step;
+                    let mut trace = Trace::new(4, 1_000);
+                    let mut now = SimTime::ZERO;
+                    for (gap_ms, disk) in recs {
+                        now += gap_ms * 1_000_000;
+                        // A unique block makes every record distinguishable,
+                        // so a reordered tie shows.
+                        serial += 1;
+                        trace.records.push(TraceRecord {
+                            at: now,
+                            disk,
+                            block: serial,
+                            nblocks: 1,
+                            kind: AccessType::Read,
+                        });
+                    }
+                    (tenant, trace)
+                })
+                .collect();
+            let (records, classes) = reference(&subs);
+            let (trace, merged_classes) = merge_tenants(4, 1_000, subs);
+            prop_assert_eq!((trace.n_disks, trace.blocks_per_disk), (4, 1_000));
+            prop_assert_eq!(trace.records, records);
+            prop_assert_eq!(merged_classes, classes);
+        }
+    }
+
     #[test]
     fn small_fleet_runs_end_to_end() {
         let fleet = FleetConfig::small();
@@ -226,7 +312,7 @@ mod tests {
         assert_eq!(report.tenants.len(), fleet.tenants.len());
         assert!(report.requests_completed > 0);
         assert!(stats.events_processed > 0);
-        // Every routed record lands in exactly one VA's feed.
+        // Every generated record lands in exactly one VA's feed.
         let owned: u64 = stats.partitions.iter().map(|p| p.arrivals_owned).sum();
         let demand: usize = fleet
             .tenants
@@ -235,7 +321,7 @@ mod tests {
             .sum();
         assert_eq!(
             owned as usize, demand,
-            "router must neither drop nor duplicate arrivals"
+            "the VA merge must neither drop nor duplicate arrivals"
         );
     }
 

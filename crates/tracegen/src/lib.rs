@@ -32,16 +32,12 @@
 pub mod characterize;
 pub mod fmt;
 pub mod record;
-pub mod router;
 pub mod sampler;
-pub mod split;
 pub mod stream;
 pub mod synth;
 pub mod transform;
 
 pub use characterize::TraceStats;
 pub use record::{AccessType, Trace, TraceRecord};
-pub use router::{route, RoutedTrace, TenantStream};
-pub use split::ArrivalSplit;
 pub use stream::StreamRng;
 pub use synth::{RerefDist, SynthSpec};
