@@ -24,7 +24,8 @@
 //!   trace exists. Results merge in VA index order, so the parallel run is
 //!   byte-identical to the serial one.
 //! - [`report`]: [`FleetReport`] — per-VA [`crate::SimReport`]s, per-tenant
-//!   response statistics (mean + p99 from exact Welford/histogram merges),
+//!   response statistics (mean + p99, read from the class report of the
+//!   one VA hosting the tenant),
 //!   fleet throughput in events per *simulated* second (never wall-clock,
 //!   which would break determinism hashing), and the rebuild blast radius:
 //!   which tenants sat on a VA that lost a disk.

@@ -34,8 +34,8 @@ pub struct VaReport {
     pub report: SimReport,
 }
 
-/// One tenant's cross-VA view: response statistics from its request class,
-/// merged exactly (Welford + histogram bucket addition).
+/// One tenant's view: the response statistics of its request class on the
+/// one VA hosting it.
 #[derive(Clone, Debug, Serialize)]
 pub struct TenantReport {
     pub id: String,
@@ -65,8 +65,8 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Merge per-VA outcomes (in VA index order) into the fleet report and
-    /// the aggregate run-stats ledger.
+    /// Combine per-VA outcomes (in VA index order) into the fleet report
+    /// and the aggregate run-stats ledger.
     pub(super) fn assemble(
         fleet: &FleetConfig,
         plan: &FleetPlan,
@@ -85,33 +85,26 @@ impl FleetReport {
             })
             .collect();
 
-        // Per-tenant class reports, merged across VAs in VA index order
-        // (exact merges, so the fold order only matters for determinism —
-        // and VA index order is fixed).
-        let mut merged: Vec<ClassReport> = (0..fleet.tenants.len())
-            .map(|_| ClassReport::new())
-            .collect();
-        for o in &outcomes {
-            for (t, c) in o.classes.iter().enumerate() {
-                merged[t].merge(c);
+        // A tenant lives on exactly one VA, whose simulator tagged its own
+        // tenants as classes in `va.tenants` order: each tenant's statistics
+        // are that one class report, read directly, then put in tenant
+        // declaration order.
+        let mut tenants: Vec<(usize, TenantReport)> = Vec::with_capacity(fleet.tenants.len());
+        for ((va, o), &degraded) in plan.vas.iter().zip(&outcomes).zip(&va_degraded) {
+            for (&t, c) in va.tenants.iter().zip(&o.classes) {
+                let report = TenantReport {
+                    id: fleet.tenants[t].id.clone(),
+                    va: va.name.clone(),
+                    completed: c.completed,
+                    response_ms: c.response_ms,
+                    p99_ms: c.p99_ms(),
+                    degraded,
+                };
+                tenants.push((t, report));
             }
         }
-        let tenants: Vec<TenantReport> = fleet
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, spec)| {
-                let v = plan.placement[t];
-                TenantReport {
-                    id: spec.id.clone(),
-                    va: plan.vas[v].name.clone(),
-                    completed: merged[t].completed,
-                    response_ms: merged[t].response_ms,
-                    p99_ms: merged[t].p99_ms(),
-                    degraded: va_degraded[v],
-                }
-            })
-            .collect();
+        tenants.sort_by_key(|&(t, _)| t);
+        let tenants: Vec<TenantReport> = tenants.into_iter().map(|(_, r)| r).collect();
         let blast_radius = tenants
             .iter()
             .filter(|t| t.degraded)

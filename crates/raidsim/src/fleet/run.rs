@@ -48,14 +48,16 @@ fn tenant_spec(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> SynthSpec {
 }
 
 /// Merge one VA's tenant substreams into its arrival stream and tag every
-/// record with its tenant (the request class). Each substream must be
-/// sorted by arrival time, as [`SynthSpec::generate`] returns it.
+/// record with the class listed beside its substream. Each substream must
+/// be sorted by arrival time, as [`SynthSpec::generate`] returns it.
 ///
 /// **Tie rule.** Records merge on (arrival time, tenant index, generated
 /// order): on equal timestamps the tenant listed earlier in `subs` wins,
 /// and within one substream records keep their generated order. The
-/// runner lists a VA's tenants in ascending index order. The substreams
-/// are consumed, so they are freed before the simulation starts.
+/// runner lists a VA's tenants in placement order, which is ascending
+/// tenant index (the planner places tenants in declaration order). The
+/// substreams are consumed, so they are freed before the simulation
+/// starts.
 fn merge_tenants(n_disks: u32, blocks_per_disk: u64, subs: Vec<(u16, Trace)>) -> (Trace, Vec<u16>) {
     let total: usize = subs.iter().map(|(_, t)| t.len()).sum();
     let mut trace = Trace::new(n_disks, blocks_per_disk);
@@ -93,15 +95,18 @@ fn run_va(
     warm: &WarmDisks,
 ) -> Result<VaOutcome, String> {
     let va = &plan.vas[v];
+    // Class `k` is the VA's `k`-th tenant: the simulator tracks only the
+    // tenants it hosts.
     let subs = va
         .tenants
         .iter()
-        .map(|&t| (t as u16, tenant_spec(fleet, plan, t).generate()))
+        .enumerate()
+        .map(|(k, &t)| (k as u16, tenant_spec(fleet, plan, t).generate()))
         .collect();
     let bpd = va.config.geometry.blocks_per_disk();
     let (trace, classes) = merge_tenants(va.data_disks, bpd, subs);
     let mut sim = Simulator::try_new_warm(va.config.clone(), &trace, warm)?;
-    sim.set_classes(classes, fleet.tenants.len() as u16)?;
+    sim.set_classes(classes, va.tenants.len() as u16)?;
     let (report, stats, classes) = sim.run_classed();
     Ok(VaOutcome {
         report,
@@ -332,6 +337,37 @@ mod tests {
         for threads in [2, 3] {
             let par = format!("{:#?}", run_fleet(&fleet, threads).unwrap().0);
             assert_eq!(par, serial, "fleet diverged at {threads} threads");
+        }
+    }
+
+    /// Each tenant's report is read straight from the class report of the
+    /// one VA hosting it, and each VA's simulator tracks exactly its own
+    /// tenants. The demo places several tenants on some VAs and none on
+    /// others, and degrades va00 mid-run.
+    #[test]
+    fn tenant_reports_are_their_va_class_reports() {
+        let fleet = FleetConfig::demo();
+        let plan = allocate(&fleet).unwrap();
+        let (report, _) = run_fleet(&fleet, 2).unwrap();
+        assert!(plan.vas.iter().any(|va| va.tenants.len() > 1));
+        for (v, va) in plan.vas.iter().enumerate() {
+            let warm = WarmDisks::new(&va.config, va.config.total_disks(va.data_disks));
+            let o = run_va(&fleet, &plan, v, &warm).unwrap();
+            assert_eq!(o.classes.len(), va.tenants.len(), "{}", va.name);
+            let completed: u64 = o.classes.iter().map(|c| c.completed).sum();
+            assert_eq!(completed, o.report.requests_completed, "{}", va.name);
+            for (&t, c) in va.tenants.iter().zip(&o.classes) {
+                let tr = &report.tenants[t];
+                assert_eq!(tr.id, fleet.tenants[t].id);
+                assert_eq!(tr.va, va.name);
+                assert_eq!(tr.completed, c.completed);
+                assert_eq!(c.histogram_ms.count(), c.completed);
+                assert_eq!(
+                    format!("{:?}", tr.response_ms),
+                    format!("{:?}", c.response_ms)
+                );
+                assert_eq!(tr.p99_ms.to_bits(), c.p99_ms().to_bits());
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use nvcache::CacheStats;
-use raidtp_stats::{DiskCounters, Histogram, TimeSeries, Welford};
+use raidtp_stats::{DiskCounters, PackedHistogram, TimeSeries, Welford};
 use serde::{Deserialize, Serialize};
 use simkit::time::ns_to_ms;
 
@@ -58,41 +58,18 @@ impl PhaseSample {
 /// `run_classed`, leaving [`SimReport`]'s serialized form — which the
 /// determinism suite hashes — untouched. Accumulators are pushed in
 /// completion order, so two runs producing the same completion schedule
-/// produce bit-identical class reports; merging across virtual arrays in
-/// fixed VA index order keeps the fleet aggregate deterministic too.
+/// produce bit-identical class reports.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ClassReport {
     pub completed: u64,
     pub response_ms: Welford,
-    pub histogram_ms: Histogram,
+    pub histogram_ms: PackedHistogram,
 }
 
 impl ClassReport {
-    pub fn new() -> ClassReport {
-        ClassReport {
-            completed: 0,
-            response_ms: Welford::new(),
-            histogram_ms: Histogram::response_time_ms(),
-        }
-    }
-
-    /// Fold another class's accumulators into this one (exact: Welford
-    /// merge plus bucket-count addition).
-    pub fn merge(&mut self, other: &ClassReport) {
-        self.completed += other.completed;
-        self.response_ms.merge(&other.response_ms);
-        self.histogram_ms.merge(&other.histogram_ms);
-    }
-
     /// 99th-percentile response time from the histogram, ms.
     pub fn p99_ms(&self) -> f64 {
         self.histogram_ms.quantile(0.99)
-    }
-}
-
-impl Default for ClassReport {
-    fn default() -> Self {
-        ClassReport::new()
     }
 }
 
@@ -309,7 +286,7 @@ pub struct SimReport {
     pub response_all_ms: Welford,
     pub response_reads_ms: Welford,
     pub response_writes_ms: Welford,
-    pub histogram_ms: Histogram,
+    pub histogram_ms: PackedHistogram,
 
     /// Per-phase latency decomposition along each request's critical path,
     /// split by direction. Phase means sum to the mean response time.
@@ -456,6 +433,7 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raidtp_stats::Histogram;
 
     fn report() -> SimReport {
         let mut all = Welford::new();
@@ -477,7 +455,7 @@ mod tests {
             response_all_ms: all,
             response_reads_ms: reads,
             response_writes_ms: writes,
-            histogram_ms: hist,
+            histogram_ms: hist.pack(),
             phases_reads: PhaseWelfords::new(),
             phases_writes: PhaseWelfords::new(),
             per_disk_accesses: DiskCounters::new(2),

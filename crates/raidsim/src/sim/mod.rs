@@ -303,7 +303,8 @@ pub struct RunStats {
 /// One virtual array's share of a fleet run (see [`RunStats::partitions`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PartStats {
-    /// Routed trace arrivals the virtual array received.
+    /// Trace arrivals the virtual array received: the records of its own
+    /// tenants' substreams.
     pub arrivals_owned: u64,
     /// Events the virtual array's simulator executed.
     pub events_processed: u64,
@@ -350,11 +351,12 @@ impl WarmDisks {
 
 /// Opt-in request-class tagging: `of_record[i]` is the class of trace
 /// record `i` (the fleet layer assigns one class per tenant), with one
-/// response accumulator set per class, pushed at request completion in
+/// response accumulator pair per class, pushed at request completion in
 /// completion order. Purely observational — tagging never touches timing.
 struct ClassState {
     of_record: Vec<u16>,
-    reports: Vec<ClassReport>,
+    /// Per class: response times, ms, as moments and as a histogram.
+    response_ms: Vec<(Welford, Histogram)>,
 }
 
 /// Trace-driven simulator for one configuration. Construct with
@@ -763,7 +765,9 @@ impl<'t> Simulator<'t> {
         }
         self.classes = Some(Box::new(ClassState {
             of_record,
-            reports: (0..n_classes).map(|_| ClassReport::new()).collect(),
+            response_ms: (0..n_classes)
+                .map(|_| (Welford::new(), Histogram::response_time_ms()))
+                .collect(),
         }));
         Ok(())
     }
@@ -852,8 +856,17 @@ impl<'t> Simulator<'t> {
             peak_pending: self.engine.peak_pending(),
             partitions: Vec::new(),
         };
-        let classes = self.classes.take().map_or(Vec::new(), |c| c.reports);
-        (self.report(), stats, classes)
+        let classes = self.classes.take().map_or(Vec::new(), |c| {
+            c.response_ms
+                .into_iter()
+                .map(|(w, h)| ClassReport {
+                    completed: w.count(),
+                    response_ms: w,
+                    histogram_ms: h.pack(),
+                })
+                .collect()
+        });
+        (self.into_report(), stats, classes)
     }
 
     /// One step of the event loop: the next queue event or the next trace

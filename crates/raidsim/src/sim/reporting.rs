@@ -78,10 +78,9 @@ impl<'t> Simulator<'t> {
         self.hist.record(ms);
         self.completed += 1;
         if let Some(cs) = self.classes.as_mut() {
-            let c = &mut cs.reports[r.class as usize];
-            c.completed += 1;
-            c.response_ms.push(ms);
-            c.histogram_ms.record(ms);
+            let (w, h) = &mut cs.response_ms[r.class as usize];
+            w.push(ms);
+            h.record(ms);
         }
         if let Some(f) = self.fault.as_mut() {
             match r.window {
@@ -127,7 +126,9 @@ impl<'t> Simulator<'t> {
         }
     }
 
-    pub(super) fn report(&self) -> SimReport {
+    /// The finished run's report, built from the accumulators themselves:
+    /// they move into it, and the response-time recorder is packed.
+    pub(super) fn into_report(self) -> SimReport {
         let elapsed_ns = self.engine.now().as_ns();
         let cache = (!self.caches.is_empty()).then(|| {
             let mut total = *self.caches[0].stats();
@@ -245,10 +246,10 @@ impl<'t> Simulator<'t> {
             response_all_ms: self.resp_all,
             response_reads_ms: self.resp_reads,
             response_writes_ms: self.resp_writes,
-            histogram_ms: self.hist.clone(),
-            phases_reads: self.phase_reads.clone(),
-            phases_writes: self.phase_writes.clone(),
-            per_disk_accesses: self.disk_counts.clone(),
+            histogram_ms: self.hist.pack(),
+            phases_reads: self.phase_reads,
+            phases_writes: self.phase_writes,
+            per_disk_accesses: self.disk_counts,
             disk_utilization: self
                 .disks
                 .iter()
@@ -268,7 +269,7 @@ impl<'t> Simulator<'t> {
             elapsed_secs: self.engine.now().as_secs_f64(),
             faults,
             reliability,
-            timeseries: self.ts.clone(),
+            timeseries: self.ts,
             scheduler,
         }
     }
