@@ -18,10 +18,10 @@
 
 use bench::experiments::fleet_tables;
 use raidsim::{
-    run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, Organization,
-    ParityPlacement, SimConfig, Simulator, SparingMode, SyncPolicy,
+    run_all, run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, NamedRun,
+    Organization, ParityPlacement, SimConfig, SparingMode, SyncPolicy,
 };
-use tracegen::{fmt, transform, SynthSpec, Trace};
+use tracegen::{fmt, SynthSpec, Trace};
 
 /// Every option `simulate` takes, in usage order: its name and, for an
 /// option that takes a value, that value's placeholder (`None` marks a
@@ -331,24 +331,19 @@ fn main() {
     }
 
     // --- workload ----------------------------------------------------------
-    let scale: f64 = args.parse("--scale", 0.1);
-    let speed: f64 = args.parse("--speed", 1.0);
+    let scale = SynthSpec::check_scale(args.parse("--scale", 0.1))
+        .unwrap_or_else(|e| die(&format!("--scale: {e}")));
     let trace: Trace = if let Some(path) = args.get("--trace-file") {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
         fmt::parse_trace(&text).unwrap_or_else(|e| die(&e.to_string()))
     } else {
         let spec = match args.get("--trace").unwrap_or("trace2") {
-            "trace1" => SynthSpec::trace1().scaled(scale),
-            "trace2" => SynthSpec::trace2().scaled(scale.clamp(f64::MIN_POSITIVE, 1.0)),
+            "trace1" => SynthSpec::trace1(),
+            "trace2" => SynthSpec::trace2(),
             other => die(&format!("unknown trace {other}")),
         };
-        spec.generate()
-    };
-    let trace = if (speed - 1.0).abs() > 1e-9 {
-        transform::at_speed(&trace, speed)
-    } else {
-        trace
+        spec.scaled(scale).generate()
     };
 
     eprintln!(
@@ -360,8 +355,9 @@ fn main() {
         cfg.total_disks(trace.n_disks),
     );
     let t0 = std::time::Instant::now();
-    let sim = Simulator::try_new(cfg, &trace).unwrap_or_else(|e| die(&e));
-    let report = sim.run();
+    let run = NamedRun::new(org.label(), cfg, &trace).at_speed(args.parse("--speed", 1.0));
+    let (_, report) = run_all(&[run], 1).swap_remove(0);
+    let report = report.unwrap_or_else(|e| die(&e));
     eprintln!("simulated in {:.2?}\n", t0.elapsed());
 
     println!("{}", report.summary());

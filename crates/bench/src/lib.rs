@@ -56,10 +56,7 @@ impl Workloads {
         match var {
             None => Ok(0.1),
             Some(v) => match v.parse::<f64>() {
-                Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
-                Ok(s) => Err(format!(
-                    "RAIDTP_T1_SCALE={s} is out of range: need 0 < scale <= 1"
-                )),
+                Ok(s) => SynthSpec::check_scale(s).map_err(|e| format!("RAIDTP_T1_SCALE: {e}")),
                 Err(_) => Err(format!(
                     "RAIDTP_T1_SCALE=`{v}` is not a number (need 0 < scale <= 1)"
                 )),

@@ -1,18 +1,18 @@
 //! The `figures` plan: every experiment declares the (trace, configuration)
 //! points its tables read, the plan keeps one copy of each distinct point,
 //! and a single [`raidsim::run_all`] call simulates them on the shared
-//! work-stealing pool. Experiments then render from the results by id, so a
+//! work-stealing pool. Every point replays one of the two base traces by
+//! reference, at its key's speed ([`NamedRun::at_speed`]); no trace is
+//! copied. Experiments then render from the results by id, so a
 //! point several figures print (Fig 16 reads every point of Fig 15) is
 //! simulated once per invocation.
 
 use crate::Workloads;
 use raidsim::{run_all, NamedRun, SimConfig, SimReport};
-use tracegen::{transform, Trace};
 
 /// The trace a point runs on: Trace 1 or Trace 2 of the [`Workloads`],
-/// replayed at `speed`× its arrival rate. Speed 1.0 is the base trace
-/// itself (`transform::at_speed(t, 1.0) == t`); every other speed is
-/// derived once per [`Plan::run`].
+/// replayed at `speed`× its arrival rate. The speed is a replay parameter
+/// of the point, not a copy of the trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceKey {
     trace2: bool,
@@ -83,20 +83,13 @@ impl Plan {
     /// They do not depend on `threads`. A point that fails stops the plan
     /// with its label.
     pub fn run(&self, w: &Workloads, threads: usize) -> Result<Vec<SimReport>, String> {
-        let base = |k: TraceKey| if k.trace2 { &w.trace2 } else { &w.trace1 };
-        let mut derived: Vec<(TraceKey, Trace)> = Vec::new();
-        for &(k, _) in &self.points {
-            if k.speed != 1.0 && !derived.iter().any(|(d, _)| *d == k) {
-                derived.push((k, transform::at_speed(base(k), k.speed)));
-            }
-        }
         let runs: Vec<NamedRun<'_>> = self
             .points
             .iter()
             .map(|(k, c)| {
-                let trace = derived.iter().find(|(d, _)| d == k);
+                let trace = if k.trace2 { &w.trace2 } else { &w.trace1 };
                 let label = format!("{} at {}x, {c:?}", k.name(), k.speed);
-                NamedRun::new(label, c.clone(), trace.map_or_else(|| base(*k), |(_, t)| t))
+                NamedRun::new(label, c.clone(), trace).at_speed(k.speed)
             })
             .collect();
         let reports = run_all(&runs, threads).into_iter();
@@ -109,6 +102,7 @@ impl Plan {
 mod tests {
     use super::*;
     use raidsim::Organization;
+    use tracegen::Trace;
 
     #[test]
     fn equal_points_share_an_id() {
@@ -123,8 +117,18 @@ mod tests {
         assert_eq!((plan.declared(), plan.distinct()), (5, 3));
     }
 
-    /// Each point runs on its own trace: a base trace, or one derived at
-    /// its speed, exactly as a serial run on that trace.
+    /// The replayed arrival times of `trace` at `speed`, as a rescaled copy:
+    /// the reference a replay at that speed must match.
+    fn rescaled(trace: &Trace, speed: f64) -> Trace {
+        let mut out = trace.clone();
+        for r in &mut out.records {
+            r.at = simkit::SimTime::from_ns((r.at.as_ns() as f64 / speed).round() as u64);
+        }
+        out
+    }
+
+    /// Each point runs on its own trace: a base trace, replayed at its
+    /// speed, exactly as a serial run on a copy rescaled to that speed.
     #[test]
     fn points_run_on_their_traces() {
         let w = Workloads::tiny();
@@ -136,8 +140,8 @@ mod tests {
         let traces = [
             w.trace1.clone(),
             w.trace2.clone(),
-            transform::at_speed(&w.trace2, 2.0),
-            transform::at_speed(&w.trace1, 0.5),
+            rescaled(&w.trace2, 2.0),
+            rescaled(&w.trace1, 0.5),
         ];
         for (id, trace) in ids.into_iter().zip(&traces) {
             let serial = raidsim::Simulator::new(config.clone(), trace).run();

@@ -71,13 +71,79 @@ fn usage_errors_exit_2() {
     let simulate = env!("CARGO_BIN_EXE_simulate");
     let figures = env!("CARGO_BIN_EXE_figures");
     let ablations = env!("CARGO_BIN_EXE_ablations");
-    let cases: [(&str, &[&str]); 6] = [
+    let cases: [(&str, &[&str]); 22] = [
         (figures, &[]),
         (figures, &["fig99"]),
         (figures, &["all", "fig99"]),
         (ablations, &["--json"]),
         (simulate, &["--org", "raid5", "extra"]),
         (simulate, &["--org", "raid5", "--cache"]),
+        // A bad replay speed or trace scale is an error, not a panic, a
+        // clamp or a silent 1x run, by the same rule for both traces.
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--speed", "0"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--speed", "-1"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--speed", "nan"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--speed", "1e-300"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--scale", "0"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--scale", "2"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--scale", "nan"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace1", "--scale", "-1"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--speed", "0"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--speed", "-1"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--speed", "nan"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--speed", "1e-300"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--scale", "0"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--scale", "2"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--scale", "nan"],
+        ),
+        (
+            simulate,
+            &["--org", "raid5", "--trace", "trace2", "--scale", "-1"],
+        ),
     ];
     for (exe, args) in cases {
         let out = run(exe, args);

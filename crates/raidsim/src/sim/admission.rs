@@ -12,9 +12,11 @@ use super::*;
 impl<'t> Simulator<'t> {
     pub(super) fn on_arrive(&mut self) {
         // `Simulator::next_step` already advanced the clock to the record's
-        // arrival time; no chain of Arrive events exists.
-        let idx = self.next_arrival;
+        // replayed arrival time; no chain of Arrive events exists.
+        let (at, idx) = (self.engine.now(), self.next_arrival);
         self.next_arrival += 1;
+        let next = self.trace.records.get(self.next_arrival);
+        self.next_arrival_at = next.map(|r| replay_time(r.at, self.speed));
         let rec = self.trace.records[idx];
         let array = rec.disk / self.n;
 
@@ -24,16 +26,16 @@ impl<'t> Simulator<'t> {
             let needed = rec.nblocks.min(self.buffers[array as usize].capacity());
             if !self.buffers[array as usize].try_acquire(needed) {
                 self.buffer_waits += 1;
-                self.admission_wait[array as usize].push_back((idx, needed));
+                self.admission_wait[array as usize].push_back((idx, at));
                 return;
             }
-            self.process_record(idx, needed);
+            self.process_record(idx, needed, at);
         } else {
-            self.process_record(idx, 0);
+            self.process_record(idx, 0, at);
         }
     }
 
-    pub(super) fn process_record(&mut self, idx: usize, buffers_held: u32) {
+    pub(super) fn process_record(&mut self, idx: usize, buffers_held: u32, arrive: SimTime) {
         let rec = self.trace.records[idx];
         let rec = &rec;
         let array = rec.disk / self.n;
@@ -60,11 +62,11 @@ impl<'t> Simulator<'t> {
         };
         let class = self.classes.as_ref().map_or(0, |c| c.of_record[idx]);
         let req = self.reqs.insert(Request {
-            arrive: rec.at,
+            arrive,
             is_read: rec.kind == AccessType::Read,
             array,
             pending: 0,
-            finish: rec.at,
+            finish: arrive,
             buffers_held,
             tail_channel_bytes: 0,
             serial,
@@ -81,7 +83,7 @@ impl<'t> Simulator<'t> {
                 now.as_ns(),
                 serial,
                 rec.kind == AccessType::Read,
-                rec.at.as_ns(),
+                arrive.as_ns(),
                 rec.disk,
                 rec.block,
                 rec.nblocks
@@ -197,14 +199,16 @@ impl<'t> Simulator<'t> {
         }
     }
 
-    /// Re-admit queued arrivals as buffers free up.
+    /// Re-admit queued arrivals as buffers free up; each needs what it did on arrival.
     pub(super) fn admit_waiters(&mut self, array: u32) {
-        while let Some(&(idx, needed)) = self.admission_wait[array as usize].front() {
-            if !self.buffers[array as usize].try_acquire(needed) {
+        while let Some(&(idx, arrive)) = self.admission_wait[array as usize].front() {
+            let pool = &mut self.buffers[array as usize];
+            let needed = self.trace.records[idx].nblocks.min(pool.capacity());
+            if !pool.try_acquire(needed) {
                 break;
             }
             self.admission_wait[array as usize].pop_front();
-            self.process_record(idx, needed);
+            self.process_record(idx, needed, arrive);
         }
     }
 }

@@ -376,7 +376,8 @@ pub struct Simulator<'t> {
     // Per array.
     channels: Vec<Channel>,
     buffers: Vec<BufferPool>,
-    admission_wait: Vec<VecDeque<(usize, u32)>>,
+    /// Per array: (record, replayed arrival time) awaiting track buffers.
+    admission_wait: Vec<VecDeque<(usize, SimTime)>>,
     caches: Vec<NvCache>,
     spools: Vec<ParitySpool>,
     /// Scratch buffers of the request path, kept so it allocates nothing
@@ -416,8 +417,11 @@ pub struct Simulator<'t> {
     destage_period_ns: u64,
     parity_cached: bool,
 
-    // Progress and stats.
+    // Progress and stats. Replay speed, the next record to arrive and its
+    // replayed arrival time (`None` once drained), computed once per record.
+    speed: f64,
     next_arrival: usize,
+    next_arrival_at: Option<SimTime>,
     inflight: u64,
     resp_all: Welford,
     resp_reads: Welford,
@@ -471,6 +475,16 @@ fn spindle_phase(seed: u64, i: u64, rot_ns: u64) -> u64 {
     (z ^ (z >> 31)) % rot_ns
 }
 
+/// When a record recorded at `at` arrives in a replay at `speed`× the trace's
+/// rate (Sections 4.2.4, 4.4.3). Speed 1 is `at` itself, exact at any size.
+fn replay_time(at: SimTime, speed: f64) -> SimTime {
+    if speed == 1.0 {
+        at
+    } else {
+        SimTime::from_ns((at.as_ns() as f64 / speed).round() as u64)
+    }
+}
+
 impl<'t> Simulator<'t> {
     /// Build a simulator for `cfg` over `trace`.
     ///
@@ -489,7 +503,7 @@ impl<'t> Simulator<'t> {
     /// Fallible constructor: validates `cfg` against `trace` and returns
     /// the configuration error instead of panicking.
     pub fn try_new(cfg: SimConfig, trace: &'t Trace) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, None)
+        Self::try_new_inner(cfg, trace, 1.0, None)
     }
 
     /// Like [`Simulator::try_new`], but reusing pre-built disk models from
@@ -500,15 +514,30 @@ impl<'t> Simulator<'t> {
         trace: &'t Trace,
         warm: &WarmDisks,
     ) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, Some(warm))
+        Self::try_new_inner(cfg, trace, 1.0, Some(warm))
     }
 
-    fn try_new_inner(
+    /// The one constructor: `trace` replayed at `speed` (finite, > 0, last
+    /// arrival within 2^53 ns), with `warm`'s disks if they match.
+    pub(crate) fn try_new_inner(
         cfg: SimConfig,
         trace: &'t Trace,
+        speed: f64,
         warm: Option<&WarmDisks>,
     ) -> Result<Simulator<'t>, String> {
         cfg.validate()?;
+        if !(speed.is_finite() && speed > 0.0) {
+            return Err(format!("replay speed {speed:?} is not a finite number > 0"));
+        }
+        // Last replayed arrival: bounds the fault timeline (an event past it
+        // would never fire). Rescaled, it must stay where an `f64` holds
+        // every nanosecond, 2^53 ns, far from `u64` overflow.
+        let horizon = replay_time(trace.records.last().map_or(SimTime::ZERO, |r| r.at), speed);
+        if speed != 1.0 && horizon > SimTime::from_ns(1 << 53) {
+            return Err(format!(
+                "at speed {speed:?} the last arrival comes after 2^53 ns (about 104 days)"
+            ));
+        }
         let n = cfg.data_disks_per_array;
         let bpd = cfg.geometry.blocks_per_disk();
         if trace.blocks_per_disk > bpd {
@@ -571,10 +600,6 @@ impl<'t> Simulator<'t> {
             failed_local[a as usize] = Some(d);
         }
 
-        // Last trace arrival: bounds the fault timeline (an event past it
-        // would never fire).
-        let horizon_ns = trace.records.last().map_or(0, |r| r.at.as_ns());
-
         // Fault-injection plan: injected events resolved against the trace's
         // array count, per-disk error streams split off the fault seed.
         let fault = match cfg.fault {
@@ -605,12 +630,12 @@ impl<'t> Simulator<'t> {
                 // them at construction instead of silently under-faulting
                 // (opt out with `allow_idle_faults`).
                 if !fc.allow_idle_faults {
-                    if let Some(ev) = plan.events().iter().find(|e| e.at().as_ns() > horizon_ns) {
+                    if let Some(ev) = plan.events().iter().find(|e| e.at() > horizon) {
                         return Err(format!(
                             "fault at {:.0} ms is past the last trace arrival at {:.0} ms and \
                              would never fire (set allow_idle_faults to accept)",
                             ev.at().as_ms_f64(),
-                            SimTime::from_ns(horizon_ns).as_ms_f64(),
+                            horizon.as_ms_f64(),
                         ));
                     }
                 }
@@ -620,7 +645,7 @@ impl<'t> Simulator<'t> {
                 // horizon) — independent of anything the run does.
                 if fc.latent_rate_per_hour > 0.0 {
                     let mean_ms = 3.6e6 / fc.latent_rate_per_hour;
-                    let horizon_ms = SimTime::from_ns(horizon_ns).as_ms_f64();
+                    let horizon_ms = horizon.as_ms_f64();
                     for g in 0..total_disks {
                         let mut rng = plan.latent_stream(g as u64);
                         let mut t = rng.next_exp(mean_ms);
@@ -709,7 +734,9 @@ impl<'t> Simulator<'t> {
             block_bytes: cfg.geometry.block_bytes as u64,
             destage_period_ns: cfg.cache.map_or(0, |c| c.destage_period_ms * 1_000_000),
             parity_cached,
+            speed,
             next_arrival: 0,
+            next_arrival_at: trace.records.first().map(|r| replay_time(r.at, speed)),
             inflight: 0,
             resp_all: Welford::new(),
             resp_reads: Welford::new(),
@@ -880,8 +907,7 @@ impl<'t> Simulator<'t> {
     /// inter-arrival sums vs. service-time sums — coincidences the pinned
     /// determinism hashes would surface), so it must never change.
     fn next_step(&mut self) -> Option<Ev> {
-        let arrival = self.trace.records.get(self.next_arrival).map(|r| r.at);
-        match (arrival, self.engine.next_time()) {
+        match (self.next_arrival_at, self.engine.next_time()) {
             (Some(a), Some(q)) if a > q => self.engine.next_event(),
             (None, Some(_)) => self.engine.next_event(),
             (Some(a), _) => {
@@ -895,7 +921,7 @@ impl<'t> Simulator<'t> {
     /// Whether the trace still holds arrivals not yet fed. Drives the
     /// destage-tick keep-alive and the sampler.
     pub(super) fn arrivals_remaining(&self) -> bool {
-        self.next_arrival < self.trace.records.len()
+        self.next_arrival_at.is_some()
     }
 
     fn dispatch(&mut self, ev: Ev) {

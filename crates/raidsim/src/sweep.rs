@@ -21,11 +21,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tracegen::Trace;
 
 /// One sweep point: a label plus its configuration and input trace (traces
-/// are shared by reference; generate once, sweep many).
+/// are shared by reference; generate once, sweep many) and replay speed.
 pub struct NamedRun<'a> {
     pub label: String,
     pub config: SimConfig,
     pub trace: &'a Trace,
+    pub speed: f64,
 }
 
 impl<'a> NamedRun<'a> {
@@ -34,7 +35,16 @@ impl<'a> NamedRun<'a> {
             label: label.into(),
             config,
             trace,
+            speed: 1.0,
         }
+    }
+
+    /// Replay the trace at `speed`× its arrival rate (Figs 10 and 18): each
+    /// arrival time is divided by `speed` and rounded to the nanosecond, with
+    /// no copy. A speed that is not finite and > 0, or that moves the last
+    /// arrival past 2^53 ns, fails the point.
+    pub fn at_speed(self, speed: f64) -> NamedRun<'a> {
+        NamedRun { speed, ..self }
     }
 }
 
@@ -104,7 +114,7 @@ pub(crate) fn ordered_map<T: Send>(
 /// returning the labelled reports in input order. `threads = 0` uses the
 /// machine's available parallelism.
 ///
-/// A point whose configuration fails [`Simulator::try_new`] — or whose
+/// A point whose configuration or speed fails to construct — or whose
 /// simulation panics outright (say, a malformed trace indexing past the
 /// array) — yields `Err(message)` in its result slot instead of poisoning
 /// the whole sweep: one bad grid corner must not discard the other N−1
@@ -125,8 +135,8 @@ pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<Sim
     // overall-largest point, so a grid mixing seeds or drive models
     // warm-started only one class and cold-constructed the rest; now each
     // class gets its own pool and only genuinely unique points fall back
-    // to cold construction inside `try_new_warm` (byte-identical either
-    // way). Invalid points (size 0 here) surface their error at `try_new`.
+    // to cold construction inside the constructor (byte-identical either
+    // way). Invalid points (size 0 here) surface their error there too.
     let pool_size = |r: &NamedRun<'_>| {
         if r.config.data_disks_per_array == 0 {
             0
@@ -150,11 +160,9 @@ pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<Sim
         // Contain a panicking point to its own result slot; the worker
         // lives on to claim the remaining points.
         let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match warm_for(&run.config) {
-                Some(w) => Simulator::try_new_warm(run.config.clone(), run.trace, w),
-                None => Simulator::try_new(run.config.clone(), run.trace),
-            }
-            .map(|s| s.run())
+            let warm = warm_for(&run.config);
+            Simulator::try_new_inner(run.config.clone(), run.trace, run.speed, warm)
+                .map(|s| s.run())
         }))
         .unwrap_or_else(|payload| {
             let msg = payload
@@ -445,18 +453,27 @@ mod tests {
 
     /// One invalid grid point must not poison the sweep: the bad point
     /// carries its configuration error in its own slot and every valid
-    /// point still completes, in input order.
+    /// point still completes, in input order. A replay speed that is not
+    /// finite and > 0, or that moves the last arrival past 2^53 ns, is an
+    /// error of its point in the same way.
     #[test]
     fn invalid_point_surfaces_error_without_poisoning_sweep() {
         let trace = SynthSpec::trace2().scaled(0.005).generate();
         let mk = |su| SimConfig::with_organization(Organization::Raid5 { striping_unit: su });
-        let runs = vec![
+        let mut runs = vec![
             NamedRun::new("ok-a", mk(1), &trace),
             NamedRun::new("bad", mk(0), &trace),
-            NamedRun::new("ok-b", mk(2), &trace),
+            NamedRun::new("ok-b", mk(2), &trace).at_speed(2.0),
         ];
+        let speeds = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300];
+        runs.extend(speeds.map(|s| NamedRun::new(format!("{s}x"), mk(1), &trace).at_speed(s)));
         let out = run_all(&runs, 3);
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 8);
+        for (label, result) in &out[3..7] {
+            let err = result.as_ref().unwrap_err();
+            assert!(err.contains("not a finite number > 0"), "{label}: {err}");
+        }
+        assert!(out[7].1.as_ref().unwrap_err().contains("2^53 ns"));
         assert_eq!(out[0].0, "ok-a");
         assert!(out[0].1.is_ok());
         assert_eq!(out[1].0, "bad");

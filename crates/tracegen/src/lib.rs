@@ -1,4 +1,4 @@
-//! # tracegen — OLTP I/O traces: synthesis, transforms, parsing, analysis
+//! # tracegen — OLTP I/O traces: synthesis, parsing, analysis
 //!
 //! The paper drives its simulations with two proprietary traces captured at
 //! IBM DB2 customer sites (Table 2). Those traces are not available, so this
@@ -35,7 +35,6 @@ pub mod record;
 pub mod sampler;
 pub mod stream;
 pub mod synth;
-pub mod transform;
 
 pub use characterize::TraceStats;
 pub use record::{AccessType, Trace, TraceRecord};

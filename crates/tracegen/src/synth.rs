@@ -167,20 +167,29 @@ impl SynthSpec {
         }
     }
 
+    /// The one rule for a scale (a fraction of the paper's request count):
+    /// 0 < scale <= 1, so NaN fails.
+    pub fn check_scale(scale: f64) -> Result<f64, String> {
+        let ok = scale > 0.0 && scale <= 1.0;
+        ok.then_some(scale).ok_or(format!(
+            "scale {scale} is out of range: need 0 < scale <= 1"
+        ))
+    }
+
     /// Shrink the trace to `factor` of its request count at the *same*
     /// arrival rate and mix (duration shrinks proportionally). Used to keep
     /// experiment wall-clock reasonable; the per-disk load intensity the
     /// paper's results depend on is unchanged.
     pub fn scaled(mut self, factor: f64) -> SynthSpec {
-        assert!(factor > 0.0 && factor <= 1.0);
+        assert!(Self::check_scale(factor).is_ok(), "bad scale {factor}");
         self.n_requests = ((self.n_requests as f64 * factor) as usize).max(1);
         self.duration_secs *= factor;
         self
     }
 
-    /// Speed the trace up (`factor > 1`) or slow it down (`factor < 1`) by
-    /// compressing interarrival gaps, as in the paper's Figures 10 and 18.
-    /// Mix and addresses are unchanged; only the arrival intensity moves.
+    /// Generate the trace at `factor`× the arrival rate, mix and addresses
+    /// unchanged. A *generation* parameter: gaps are drawn and rounded at the
+    /// new rate, unlike a replay at that speed (`raidsim::NamedRun::at_speed`).
     pub fn at_speed(mut self, factor: f64) -> SynthSpec {
         assert!(factor > 0.0);
         self.duration_secs /= factor;

@@ -9,8 +9,8 @@
 
 #![expect(clippy::expect_used, reason = "example driver code stops on bad input")]
 
-use raidsim::{Organization, ParityPlacement, SimConfig, Simulator};
-use tracegen::{fmt, transform, SynthSpec, TraceStats};
+use raidsim::{run_all, NamedRun, Organization, ParityPlacement, SimConfig};
+use tracegen::{fmt, SynthSpec, TraceStats};
 
 fn main() {
     // 1. Produce a trace (stand-in for a real capture).
@@ -38,14 +38,16 @@ fn main() {
     );
 
     // 4. Replay through Parity Striping at two load levels (the paper's
-    //    trace-speed experiment).
-    for speed in [1.0, 2.0] {
-        let t = transform::at_speed(&parsed, speed);
-        let cfg = SimConfig::with_organization(Organization::ParityStriping {
-            placement: ParityPlacement::Middle,
-        });
-        let r = Simulator::new(cfg, &t).run();
-        println!("speed {speed}: {}", r.summary());
+    //    trace-speed experiment): the speed is a replay parameter, so both
+    //    runs read the one parsed trace.
+    let cfg = SimConfig::with_organization(Organization::ParityStriping {
+        placement: ParityPlacement::Middle,
+    });
+    let runs: Vec<NamedRun<'_>> = [1.0, 2.0]
+        .map(|speed| NamedRun::new(format!("speed {speed}"), cfg.clone(), &parsed).at_speed(speed))
+        .into();
+    for (label, r) in run_all(&runs, 1) {
+        println!("{label}: {}", r.expect("replay").summary());
     }
 
     std::fs::remove_file(&path).ok();

@@ -14,10 +14,11 @@
 //! `cargo test -p simlint` for the invariants clippy cannot express.
 
 use raidsim::{
-    CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, ParityPlacement, SimConfig,
-    Simulator, SparingMode,
+    run_all, CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, ParityPlacement,
+    SimConfig, SimReport, Simulator, SparingMode,
 };
-use tracegen::{SynthSpec, Trace};
+use simkit::SimTime;
+use tracegen::{AccessType, SynthSpec, Trace, TraceRecord};
 
 fn organizations() -> [Organization; 5] {
     [
@@ -36,6 +37,14 @@ fn organizations() -> [Organization; 5] {
 /// mean two identical reports.
 fn serialized_report(cfg: SimConfig, trace: &Trace) -> String {
     format!("{:#?}", Simulator::new(cfg, trace).run())
+}
+
+/// Run `cfg` over `trace` replayed at `speed`× its arrival rate, through
+/// the sweep's replay parameter.
+fn replay_at(cfg: SimConfig, trace: &Trace, speed: f64) -> Result<SimReport, String> {
+    run_all(&[NamedRun::new("replay", cfg, trace).at_speed(speed)], 1)
+        .swap_remove(0)
+        .1
 }
 
 /// FNV-1a, for compact logging of report identities in test output.
@@ -200,12 +209,14 @@ fn sampler_is_timing_neutral_for_all_organizations() {
 }
 
 /// Report hashes of the NV-cache eviction paths: Trace 2 ×0.05 replayed
-/// 100× faster, seed 7, caches of 1 MB and 4 MB. The compressed arrivals
-/// overrun the destage process, so misses evict dirty blocks (synchronous
-/// writebacks, old copies dropped with their owners) and the RAID4 spool
-/// overflows the cache — paths the paper-speed runs above never load. The
-/// hashes were recorded before the cache's block store moved to a packed
-/// data-block index with linked old copies.
+/// 100× faster through the replay parameter (the hashes were recorded on a
+/// rescaled copy, which the replay equals), seed 7, caches of 1 MB and
+/// 4 MB. The compressed arrivals overrun the destage process, so misses
+/// evict dirty blocks (synchronous writebacks, old copies dropped with
+/// their owners) and the RAID4 spool overflows the cache — paths the
+/// paper-speed runs above never load. The hashes were recorded before the
+/// cache's block store moved to a packed data-block index with linked old
+/// copies.
 const EVICTION_HASHES: [(usize, u64, u64); 10] = [
     (0, 1, 0x7de0_7322_ae7e_840b), // Base
     (0, 4, 0xd206_e1b8_ddfc_ee47),
@@ -221,7 +232,7 @@ const EVICTION_HASHES: [(usize, u64, u64); 10] = [
 
 #[test]
 fn cache_eviction_paths_match_recorded_hashes() {
-    let trace = tracegen::transform::at_speed(&SynthSpec::trace2().scaled(0.05).generate(), 100.0);
+    let trace = SynthSpec::trace2().scaled(0.05).generate();
     let orgs = organizations();
     for (idx, size_mb, expected) in EVICTION_HASHES {
         let org = orgs[idx];
@@ -230,7 +241,7 @@ fn cache_eviction_paths_match_recorded_hashes() {
             size_mb,
             ..CacheConfig::default()
         });
-        let report = Simulator::new(cfg, &trace).run();
+        let report = replay_at(cfg, &trace, 100.0).expect("the eviction run replays");
         let cache = report.cache.expect("cached run reports cache stats");
         let hash = fnv1a(format!("{report:#?}").as_bytes());
         println!(
@@ -257,6 +268,66 @@ fn cache_eviction_paths_match_recorded_hashes() {
             org.label()
         );
     }
+}
+
+/// Replay speed is the rescaled copy it replaced: at 0.5×, 2× and 100×, a
+/// replay of Trace 2 prints (`{:#?}`) exactly what a run on a copy does
+/// whose every arrival is divided by the speed and rounded to the
+/// nanosecond. RAID5 is uncached, so at 100× arrivals wait for track
+/// buffers and are admitted after their arrival time; RAID4 is cached,
+/// with its parity spool.
+#[test]
+fn replay_at_speed_matches_a_rescaled_copy() {
+    let trace = SynthSpec::trace2().scaled(0.02).generate();
+    for speed in [0.5, 2.0, 100.0] {
+        let mut copy = trace.clone();
+        for r in &mut copy.records {
+            r.at = SimTime::from_ns((r.at.as_ns() as f64 / speed).round() as u64);
+        }
+        for (org, cached) in [
+            (Organization::Raid5 { striping_unit: 1 }, false),
+            (Organization::Raid4 { striping_unit: 1 }, true),
+        ] {
+            let cfg = config(org, cached, 7);
+            let replayed = replay_at(cfg.clone(), &trace, speed).expect("valid speed");
+            if speed == 100.0 && !cached {
+                assert!(replayed.buffer_waits > 0, "no arrival waited for buffers");
+            }
+            assert_eq!(
+                format!("{replayed:#?}"),
+                serialized_report(cfg, &copy),
+                "{} at {speed}x: replay differs from the rescaled copy",
+                org.label()
+            );
+        }
+    }
+}
+
+/// Speed 1 replays the recorded times themselves, also past 2^53 ns where
+/// an `f64` division would round them (the event log prints each arrival
+/// time); at 0.5× the same trace leaves the replay time range and is
+/// refused.
+#[test]
+fn speed_one_replays_recorded_times_exactly() {
+    let at = (1u64 << 53) + 1;
+    let mut trace = Trace::new(10, 226_800);
+    trace.records.push(TraceRecord {
+        at: SimTime::from_ns(at),
+        disk: 0,
+        block: 0,
+        nblocks: 1,
+        kind: AccessType::Read,
+    });
+    let mut cfg = SimConfig::with_organization(Organization::Base);
+    let path = std::env::temp_dir().join(format!("raidsim-replay-{}.jsonl", std::process::id()));
+    cfg.observability.event_log = Some(path.clone());
+    let report = replay_at(cfg.clone(), &trace, 1.0).expect("speed 1 takes any time");
+    assert_eq!(report.requests_completed, 1);
+    let log = std::fs::read_to_string(&path).expect("event log written");
+    let _ = std::fs::remove_file(&path);
+    assert!(log.contains(&format!("\"arrive_ns\":{at},")), "{log}");
+    let err = replay_at(cfg, &trace, 0.5).expect_err("past the replay time range");
+    assert!(err.contains("2^53 ns"), "{err}");
 }
 
 /// Run `cfg` twice: the two reports must serialize byte-identically, and

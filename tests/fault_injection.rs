@@ -10,7 +10,9 @@
 //! rebuilds inside a few simulated seconds.
 
 use diskmodel::DiskGeometry;
-use raidsim::{CacheConfig, DiskFailure, FaultConfig, Organization, SimConfig, Simulator};
+use raidsim::{
+    run_all, CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, SimConfig, Simulator,
+};
 use tracegen::{SynthSpec, Trace};
 
 /// Tiny disk (2 cylinders → 360 blocks) so a full rebuild completes well
@@ -101,6 +103,29 @@ fn mid_run_failure_rebuilds_onto_spare_and_returns_to_healthy() {
         "degraded mean {:.3} ms not above healthy mean {:.3} ms",
         f.degraded_mean_ms(),
         f.response_healthy_ms.mean()
+    );
+}
+
+/// The fault horizon is the last *replayed* arrival. A failure at 3/4 of
+/// the recorded last arrival is past it at 2× and is refused; one at 3/2 of
+/// it is before it at 0.5× and runs.
+#[test]
+fn fault_horizon_follows_the_replay_speed() {
+    let trace = small_trace();
+    let last_ms = trace.records.last().expect("a trace").at.as_ns() / 1_000_000;
+    let raid5 = Organization::Raid5 { striping_unit: 1 };
+    let replay = |at_ms: u64, speed: f64| {
+        let cfg = fault_cfg(raid5, fail_disk_at(at_ms));
+        run_all(&[NamedRun::new("horizon", cfg, &trace).at_speed(speed)], 1)
+            .swap_remove(0)
+            .1
+    };
+    let err = replay(last_ms * 3 / 4, 2.0).expect_err("past the replayed horizon");
+    assert!(err.contains("would never fire"), "{err}");
+    let report = replay(last_ms * 3 / 2, 0.5).expect("before the replayed horizon");
+    assert!(
+        report.faults.expect("fault engine").degraded_window_ms > 0.0,
+        "the failure fired"
     );
 }
 

@@ -2,7 +2,7 @@
 //! bit-identical results.
 
 use raidsim::{Organization, SimConfig, Simulator};
-use tracegen::{fmt, transform, SynthSpec};
+use tracegen::{fmt, SynthSpec};
 
 #[test]
 fn serialized_trace_replays_identically() {
@@ -33,18 +33,6 @@ fn exploded_format_preserves_multiblock_structure() {
         .count();
     let multi_parsed = parsed.records.iter().filter(|r| r.is_multiblock()).count();
     assert_eq!(multi, multi_parsed);
-}
-
-#[test]
-fn transforms_compose_with_the_format() {
-    let original = SynthSpec::trace2().scaled(0.02).generate();
-    let fast = transform::at_speed(&original, 2.0);
-    let text = fmt::write_trace(&fast, false);
-    let back = fmt::parse_trace(&text).expect("parse");
-    assert_eq!(back, fast);
-    let windowed = transform::window(&back, simkit::SimTime::ZERO, simkit::SimTime::from_secs(30));
-    windowed.validate().expect("windowed trace is well-formed");
-    assert!(windowed.len() <= back.len());
 }
 
 #[test]
