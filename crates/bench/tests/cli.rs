@@ -71,7 +71,7 @@ fn usage_errors_exit_2() {
     let simulate = env!("CARGO_BIN_EXE_simulate");
     let figures = env!("CARGO_BIN_EXE_figures");
     let ablations = env!("CARGO_BIN_EXE_ablations");
-    let cases: [(&str, &[&str]); 22] = [
+    let cases: [(&str, &[&str]); 24] = [
         (figures, &[]),
         (figures, &["fig99"]),
         (figures, &["all", "fig99"]),
@@ -144,12 +144,21 @@ fn usage_errors_exit_2() {
             simulate,
             &["--org", "raid5", "--trace", "trace2", "--scale", "-1"],
         ),
+        // Disk counts past u32::MAX are refused by validation, not wrapped
+        // into an empty drive pool that panics mid-run.
+        (simulate, &["--org", "mirror", "--n", "2147483648"]),
+        (simulate, &["--org", "raid5", "--n", "4294967295"]),
     ];
     for (exe, args) in cases {
         let out = run(exe, args);
         assert_eq!(out.status.code(), Some(2), "{exe} {args:?}");
         assert!(out.stdout.is_empty(), "{exe} {args:?}");
-        assert!(!out.stderr.is_empty(), "{exe} {args:?}");
+        let stderr = text(&out.stderr);
+        assert!(!stderr.is_empty(), "{exe} {args:?}");
+        assert!(
+            !stderr.contains("simulation panicked"),
+            "{exe} {args:?}: {stderr}"
+        );
     }
 }
 

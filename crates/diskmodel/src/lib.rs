@@ -15,11 +15,10 @@
 //! * [`Disk`] — per-drive dynamic state: arm position, rotational phase,
 //!   busy-until horizon, utilization accounting, and service-time computation
 //!   for plain reads/writes and read-modify-write accesses.
-//! * [`OpQueue`] — a three-band (priority / normal / background) FIFO queue
-//!   used for pending operations at each drive.
-//! * [`DiskScheduler`] — the pluggable service-discipline seam over those
-//!   bands: [`Fcfs`] (the paper's discipline and the default), [`Sstf`],
-//!   and [`Scan`], selected by [`Discipline`].
+//! * [`SchedulerQueue`] — each drive's queue of pending operations in three
+//!   [`Band`]s (priority / normal / background), served under the
+//!   [`Discipline`] chosen at configuration time: FCFS (the paper's
+//!   discipline and the default), SSTF or SCAN.
 //!
 //! Simplifications, documented here once: head-switch and track-crossing
 //! overheads inside a multi-block transfer are folded into the linear
@@ -28,12 +27,12 @@
 
 pub mod disk;
 pub mod geometry;
-pub mod opqueue;
-pub mod scheduler;
+mod opqueue;
+mod scheduler;
 pub mod seek;
 
 pub use disk::{rmw_write_complete, AccessKind, AccessTiming, Disk};
 pub use geometry::{BlockNo, Cylinder, DiskGeometry};
-pub use opqueue::{Band, OpQueue};
-pub use scheduler::{Discipline, DiskScheduler, Fcfs, Scan, SchedulerQueue, Sstf};
+pub use opqueue::Band;
+pub use scheduler::{Discipline, SchedulerQueue};
 pub use seek::SeekCurve;

@@ -43,111 +43,36 @@ impl Band {
     }
 }
 
-/// Three-band FIFO queue.
+/// Three-band FIFO queue: the FCFS discipline of
+/// [`SchedulerQueue`](crate::SchedulerQueue).
 #[derive(Clone, Debug)]
-pub struct OpQueue<T> {
-    priority: VecDeque<T>,
-    normal: VecDeque<T>,
-    background: VecDeque<T>,
-}
-
-impl<T> Default for OpQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
+pub(crate) struct OpQueue<T> {
+    /// One FIFO per band, indexed by [`Band::index`].
+    bands: [VecDeque<T>; 3],
 }
 
 impl<T> OpQueue<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OpQueue {
-            priority: VecDeque::new(),
-            normal: VecDeque::new(),
-            background: VecDeque::new(),
+            bands: Default::default(),
         }
     }
 
     /// Enqueue at the tail of a band.
-    pub fn push(&mut self, band: Band, item: T) {
-        self.deque_mut(band).push_back(item);
-    }
-
-    /// Enqueue at the head of a band (used to put back an operation that
-    /// could not be dispatched, e.g. a write waiting for a free buffer).
-    ///
-    /// **Put-back contract** (shared with `DiskScheduler::put_back`): the
-    /// operation re-enters at the head of *its own band* only. Band
-    /// precedence remains absolute — a `Priority` operation pushed *after*
-    /// the put-back is still popped first, interleaving ahead of the
-    /// resumed request. That is intentional, not an inversion hazard:
-    /// RF/PR parity accesses must overtake every non-parity access queued
-    /// at the disk (Section 3.3), including one that was put back while
-    /// waiting for a buffer. Within the band, the put-back precedes all
-    /// previously queued work.
-    pub fn push_front(&mut self, band: Band, item: T) {
-        self.deque_mut(band).push_front(item);
+    pub(crate) fn push(&mut self, band: Band, item: T) {
+        self.bands[band.index()].push_back(item);
     }
 
     /// Dequeue the next operation: priority, then normal, then background.
-    pub fn pop(&mut self) -> Option<(Band, T)> {
-        if let Some(x) = self.priority.pop_front() {
-            return Some((Band::Priority, x));
-        }
-        if let Some(x) = self.normal.pop_front() {
-            return Some((Band::Normal, x));
-        }
-        self.background.pop_front().map(|x| (Band::Background, x))
-    }
-
-    /// Dequeue only foreground work (priority or normal).
-    pub fn pop_foreground(&mut self) -> Option<(Band, T)> {
-        if let Some(x) = self.priority.pop_front() {
-            return Some((Band::Priority, x));
-        }
-        self.normal.pop_front().map(|x| (Band::Normal, x))
-    }
-
-    /// Next operation without removing it.
-    pub fn peek(&self) -> Option<(Band, &T)> {
-        if let Some(x) = self.priority.front() {
-            return Some((Band::Priority, x));
-        }
-        if let Some(x) = self.normal.front() {
-            return Some((Band::Normal, x));
-        }
-        self.background.front().map(|x| (Band::Background, x))
-    }
-
-    pub fn len(&self) -> usize {
-        self.priority.len() + self.normal.len() + self.background.len()
-    }
-
-    pub fn foreground_len(&self) -> usize {
-        self.priority.len() + self.normal.len()
-    }
-
-    pub fn background_len(&self) -> usize {
-        self.background.len()
+    pub(crate) fn pop(&mut self) -> Option<(Band, T)> {
+        Band::ALL
+            .into_iter()
+            .find_map(|b| self.bands[b.index()].pop_front().map(|x| (b, x)))
     }
 
     /// Operations queued in one band.
-    pub fn band_len(&self, band: Band) -> usize {
-        match band {
-            Band::Priority => self.priority.len(),
-            Band::Normal => self.normal.len(),
-            Band::Background => self.background.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn deque_mut(&mut self, band: Band) -> &mut VecDeque<T> {
-        match band {
-            Band::Priority => &mut self.priority,
-            Band::Normal => &mut self.normal,
-            Band::Background => &mut self.background,
-        }
+    pub(crate) fn band_len(&self, band: Band) -> usize {
+        self.bands[band.index()].len()
     }
 }
 
@@ -162,59 +87,12 @@ mod tests {
         q.push(Band::Normal, "n1");
         q.push(Band::Priority, "p1");
         q.push(Band::Normal, "n2");
-        assert_eq!(q.len(), 4);
+        assert_eq!(Band::ALL.map(|b| q.band_len(b)), [1, 2, 1]);
         assert_eq!(q.pop(), Some((Band::Priority, "p1")));
         assert_eq!(q.pop(), Some((Band::Normal, "n1")));
         assert_eq!(q.pop(), Some((Band::Normal, "n2")));
         assert_eq!(q.pop(), Some((Band::Background, "bg")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_foreground_skips_background() {
-        let mut q = OpQueue::new();
-        q.push(Band::Background, "bg");
-        assert_eq!(q.pop_foreground(), None);
-        assert_eq!(q.background_len(), 1);
-        q.push(Band::Normal, "n");
-        assert_eq!(q.pop_foreground(), Some((Band::Normal, "n")));
-        assert_eq!(q.foreground_len(), 0);
-    }
-
-    #[test]
-    fn push_front_reinserts_at_head() {
-        let mut q = OpQueue::new();
-        q.push(Band::Normal, 1);
-        q.push(Band::Normal, 2);
-        let (b, x) = q.pop().unwrap();
-        q.push_front(b, x);
-        assert_eq!(q.pop(), Some((Band::Normal, 1)));
-        assert_eq!(q.pop(), Some((Band::Normal, 2)));
-    }
-
-    /// The documented put-back contract: a later `Priority` push
-    /// interleaves ahead of a `Normal` put-back (bands stay absolute),
-    /// while within the band the put-back precedes all queued work.
-    #[test]
-    fn put_back_yields_to_later_priority_push() {
-        let mut q = OpQueue::new();
-        q.push(Band::Normal, "w1"); // e.g. a write waiting for a buffer
-        q.push(Band::Normal, "w2");
-        let (b, x) = q.pop().unwrap();
-        assert_eq!(x, "w1");
-        q.push_front(b, x); // put back: buffer still unavailable
-        q.push(Band::Priority, "parity"); // RF/PR parity access arrives
-        assert_eq!(
-            q.pop(),
-            Some((Band::Priority, "parity")),
-            "priority must overtake the put-back (Section 3.3)"
-        );
-        assert_eq!(
-            q.pop(),
-            Some((Band::Normal, "w1")),
-            "put-back first in band"
-        );
-        assert_eq!(q.pop(), Some((Band::Normal, "w2")));
     }
 
     #[test]
@@ -227,17 +105,5 @@ mod tests {
         assert_eq!(q.band_len(Band::Priority), 0);
         assert_eq!(q.band_len(Band::Normal), 1);
         assert_eq!(q.band_len(Band::Background), 1);
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = OpQueue::new();
-        assert!(q.peek().is_none());
-        q.push(Band::Normal, 7);
-        q.push(Band::Priority, 9);
-        assert_eq!(q.peek(), Some((Band::Priority, &9)));
-        assert_eq!(q.pop(), Some((Band::Priority, 9)));
-        assert_eq!(q.peek(), Some((Band::Normal, &7)));
-        assert!(!q.is_empty());
     }
 }

@@ -1,58 +1,48 @@
-//! Pluggable per-drive service disciplines — the dispatch layer's seam.
+//! Per-drive service disciplines — the dispatch layer's seam.
 //!
 //! The paper evaluates every organization under one fixed discipline:
 //! FIFO per-disk queues with a priority band for RF/PR parity accesses and
-//! a background band for destage traffic (Sections 3.3–3.4). [`Fcfs`]
-//! reproduces that exactly and is the default. [`Sstf`] and [`Scan`] are
-//! the classic position-aware alternatives — Thomasian's mirrored-array
-//! survey shows the choice materially shifts which organization wins under
-//! skewed OLTP load — implemented here as drop-in [`DiskScheduler`]s so
-//! the comparison becomes one knob instead of a simulator fork.
+//! a background band for destage traffic (Sections 3.3–3.4). FCFS
+//! reproduces that exactly and is the default. SSTF and SCAN are the
+//! classic position-aware alternatives — Thomasian's mirrored-array survey
+//! shows the choice materially shifts which organization wins under
+//! skewed OLTP load — so the comparison is one [`Discipline`] knob on one
+//! [`SchedulerQueue`] type instead of a simulator fork. The disciplines
+//! are private to this module, where the contract tests cover them.
 //!
-//! # The `DiskScheduler` contract
+//! # The contract
 //!
-//! Every discipline must obey, in order of precedence:
+//! Every discipline obeys, in order of precedence:
 //!
 //! 1. **Bands are absolute.** No operation is served while a higher band
 //!    ([`Band::Priority`] > [`Band::Normal`] > [`Band::Background`]) has
 //!    work queued. Position-aware ordering applies only *within* a band;
 //!    RF/PR parity priority and background destage semantics are therefore
 //!    identical across disciplines.
-//! 2. **Put-backs come first within their band.** [`DiskScheduler::put_back`]
-//!    restores an operation that was popped but could not be dispatched
-//!    (e.g. a write still waiting for a free track buffer). It re-enters at
-//!    the head of *its own band* and is re-served before any
-//!    discipline-chosen operation of that band — but band precedence still
-//!    applies: a `Priority` operation enqueued *after* the put-back is
-//!    served first. That interleaving is intentional, not a hazard: an
-//!    RF/PR parity read must overtake every non-parity access queued at
-//!    the disk, including one that was put back mid-request (Section 3.3).
-//!    Multiple outstanding put-backs re-serve most-recently-put-back
-//!    first (LIFO), matching [`OpQueue::push_front`] nesting.
-//! 3. **Exactly-once, no starvation.** Every pushed token is returned by
+//! 2. **Exactly-once, no starvation.** Every pushed token is returned by
 //!    exactly one `pop`, and any finite push sequence drains in finitely
-//!    many pops (`pop` returns `Some` whenever the scheduler is
-//!    non-empty). Ties within a band break by enqueue order, so a
-//!    discipline is a pure function of its push/pop history — never of
-//!    iteration order or ambient state.
-//! 4. **Aborts do not move the arm.** [`DiskScheduler::drain`] removes
+//!    many pops (`pop` returns `Some` whenever the queue is non-empty).
+//!    Ties within a band break by enqueue order, so a discipline is a pure
+//!    function of its push/pop history — never of iteration order or
+//!    ambient state.
+//! 3. **Aborts do not move the arm.** [`SchedulerQueue::drain`] removes
 //!    every queued operation at once — the disk-failure abort path — in a
-//!    canonical, discipline-independent order, and must leave position
-//!    state (SCAN's cursor and sweep direction) exactly as the last real
-//!    service left it. Draining by repeated `pop`s instead drives the
-//!    sweep machinery through a phantom service pass: the cursor ends up
+//!    canonical, discipline-independent order, and leaves position state
+//!    (SCAN's cursor and sweep direction) exactly as the last real service
+//!    left it. Draining by repeated `pop`s instead drives the sweep
+//!    machinery through a phantom service pass: the cursor ends up
 //!    wherever the *aborted* ops would have taken the arm, and the hot
 //!    spare inherits that garbled state for all re-planned and rebuild
 //!    traffic.
 //!
 //! `pop` takes the arm's current cylinder so position-aware disciplines
-//! can order by seek distance; [`Fcfs`] ignores it, which is what makes it
-//! byte-identical to the original hard-wired [`OpQueue`] pop order.
+//! can order by seek distance; FCFS ignores it, which is what makes it
+//! byte-identical to the original hard-wired three-band FIFO.
 
 use crate::geometry::Cylinder;
 use crate::opqueue::{Band, OpQueue};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Which service discipline each drive's queue uses. The paper's
 /// experiments all use `Fcfs`; the other disciplines are an extension
@@ -94,148 +84,6 @@ impl Discipline {
     }
 }
 
-/// A per-drive service discipline over queued operation tokens.
-///
-/// See the module docs for the contract every implementation must obey
-/// (absolute bands, put-backs first, exactly-once without starvation,
-/// aborts that do not move the arm). The trait is sealed: every discipline
-/// lives in this module, where the contract tests cover it, and the rest
-/// of the workspace only uses them.
-///
-/// ```compile_fail,E0277
-/// use diskmodel::{Band, Cylinder, DiskScheduler};
-///
-/// // A complete impl: the seal is the only thing that stops it.
-/// struct Lifo(Vec<(Band, u32)>);
-///
-/// impl DiskScheduler for Lifo {
-///     fn push(&mut self, band: Band, token: u32, _: Cylinder) {
-///         self.0.push((band, token));
-///     }
-///     fn put_back(&mut self, band: Band, token: u32, _: Cylinder) {
-///         self.0.push((band, token));
-///     }
-///     fn pop(&mut self, _: Cylinder) -> Option<(Band, u32)> {
-///         self.0.pop()
-///     }
-///     fn drain(&mut self) -> Vec<(Band, u32)> {
-///         std::mem::take(&mut self.0)
-///     }
-///     fn len(&self) -> usize {
-///         self.0.len()
-///     }
-///     fn foreground_len(&self) -> usize {
-///         self.0.len()
-///     }
-///     fn band_len(&self, _: Band) -> usize {
-///         0
-///     }
-/// }
-/// ```
-pub trait DiskScheduler: sealed::Sealed {
-    /// Enqueue an operation targeting `cylinder`.
-    fn push(&mut self, band: Band, token: u32, cylinder: Cylinder);
-
-    /// Restore an operation that was popped but could not be dispatched.
-    /// It is re-served before discipline-chosen work of its band (contract
-    /// clause 2).
-    fn put_back(&mut self, band: Band, token: u32, cylinder: Cylinder);
-
-    /// Remove and return the next operation to service given the arm's
-    /// current position. `None` iff empty.
-    fn pop(&mut self, arm: Cylinder) -> Option<(Band, u32)>;
-
-    /// Remove every queued operation at once (the abort path: the ops will
-    /// never be serviced). Canonical order, identical across disciplines:
-    /// for each band in priority order, outstanding put-backs first (most
-    /// recently put back first, as `pop` would serve them), then entries
-    /// in enqueue order. Must not perturb discipline position state
-    /// (contract clause 4) — the aborted ops never moved the arm.
-    fn drain(&mut self) -> Vec<(Band, u32)>;
-
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queued priority + normal operations (admission/replica decisions
-    /// count only foreground work, as background ops always yield).
-    fn foreground_len(&self) -> usize;
-
-    fn background_len(&self) -> usize {
-        self.len() - self.foreground_len()
-    }
-
-    /// Queued operations in one band (per-band depth statistics).
-    fn band_len(&self, band: Band) -> usize;
-}
-
-/// The private supertrait that seals [`DiskScheduler`] to this module.
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Fcfs {}
-    impl Sealed for super::Sstf {}
-    impl Sealed for super::Scan {}
-    impl Sealed for super::SchedulerQueue {}
-}
-
-// ---------------------------------------------------------------------------
-// FCFS
-// ---------------------------------------------------------------------------
-
-/// The paper's discipline: a thin wrapper over [`OpQueue`] that ignores
-/// cylinder positions entirely. Pop order — including put-back order — is
-/// byte-identical to the pre-seam hard-wired queue, which is what keeps
-/// the recorded determinism replay hashes unchanged.
-#[derive(Clone, Debug, Default)]
-pub struct Fcfs {
-    q: OpQueue<u32>,
-}
-
-impl Fcfs {
-    pub fn new() -> Fcfs {
-        Fcfs { q: OpQueue::new() }
-    }
-}
-
-impl DiskScheduler for Fcfs {
-    fn push(&mut self, band: Band, token: u32, _cylinder: Cylinder) {
-        self.q.push(band, token);
-    }
-
-    fn put_back(&mut self, band: Band, token: u32, _cylinder: Cylinder) {
-        self.q.push_front(band, token);
-    }
-
-    fn pop(&mut self, _arm: Cylinder) -> Option<(Band, u32)> {
-        self.q.pop()
-    }
-
-    // FCFS holds no position state, so pop order *is* the canonical drain
-    // order (put-backs sit at the front of their band's deque already) —
-    // byte-identical to the pre-drain abort path's pop loop.
-    fn drain(&mut self) -> Vec<(Band, u32)> {
-        let mut out = Vec::with_capacity(self.q.len());
-        while let Some(x) = self.q.pop() {
-            out.push(x);
-        }
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn foreground_len(&self) -> usize {
-        self.q.foreground_len()
-    }
-
-    fn band_len(&self, band: Band) -> usize {
-        self.q.band_len(band)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // SSTF
 // ---------------------------------------------------------------------------
@@ -249,19 +97,12 @@ struct Entry {
 
 /// Shortest seek time first within each band.
 #[derive(Clone, Debug, Default)]
-pub struct Sstf {
+struct Sstf {
     bands: [Vec<Entry>; 3],
-    put_back: [VecDeque<(Band, u32, Cylinder)>; 3],
     seq: u64,
 }
 
 impl Sstf {
-    pub fn new() -> Sstf {
-        Sstf::default()
-    }
-}
-
-impl DiskScheduler for Sstf {
     fn push(&mut self, band: Band, token: u32, cylinder: Cylinder) {
         let seq = self.seq;
         self.seq += 1;
@@ -272,59 +113,28 @@ impl DiskScheduler for Sstf {
         });
     }
 
-    fn put_back(&mut self, band: Band, token: u32, cylinder: Cylinder) {
-        self.put_back[band.index()].push_front((band, token, cylinder));
-    }
-
     fn pop(&mut self, arm: Cylinder) -> Option<(Band, u32)> {
-        for band in Band::ALL {
-            let i = band.index();
-            if let Some((b, token, _)) = self.put_back[i].pop_front() {
-                return Some((b, token));
-            }
-            let entries = &mut self.bands[i];
-            if entries.is_empty() {
-                continue;
-            }
-            // Nearest cylinder, ties by enqueue order: the key is a pure
-            // function of the push history, so pops replay exactly.
-            let mut best = 0usize;
-            let mut best_key = (arm.abs_diff(entries[0].cyl), entries[0].seq);
-            for (j, e) in entries.iter().enumerate().skip(1) {
-                let key = (arm.abs_diff(e.cyl), e.seq);
-                if key < best_key {
-                    best = j;
-                    best_key = key;
-                }
-            }
-            let e = entries.remove(best);
-            return Some((band, e.token));
-        }
-        None
+        let band = Band::ALL
+            .into_iter()
+            .find(|b| !self.bands[b.index()].is_empty())?;
+        let entries = &mut self.bands[band.index()];
+        // Nearest cylinder, ties by enqueue order: the key is a pure
+        // function of the push history, so pops replay exactly.
+        let (best, _) = entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| (arm.abs_diff(e.cyl), e.seq))?;
+        Some((band, entries.remove(best).token))
     }
 
     fn drain(&mut self) -> Vec<(Band, u32)> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
         for band in Band::ALL {
-            let i = band.index();
-            out.extend(self.put_back[i].drain(..).map(|(b, token, _)| (b, token)));
-            let mut entries = std::mem::take(&mut self.bands[i]);
+            let mut entries = std::mem::take(&mut self.bands[band.index()]);
             entries.sort_unstable_by_key(|e| e.seq);
             out.extend(entries.into_iter().map(|e| (band, e.token)));
         }
         out
-    }
-
-    fn len(&self) -> usize {
-        Band::ALL.iter().map(|&b| self.band_len(b)).sum()
-    }
-
-    fn foreground_len(&self) -> usize {
-        self.band_len(Band::Priority) + self.band_len(Band::Normal)
-    }
-
-    fn band_len(&self, band: Band) -> usize {
-        self.bands[band.index()].len() + self.put_back[band.index()].len()
     }
 }
 
@@ -338,29 +148,21 @@ impl DiskScheduler for Sstf {
 /// cylinder, operations are served in enqueue order in both sweep
 /// directions.
 #[derive(Clone, Debug)]
-pub struct Scan {
+struct Scan {
     bands: [BTreeMap<(Cylinder, u64), u32>; 3],
-    put_back: [VecDeque<(Band, u32, Cylinder)>; 3],
     seq: u64,
     cursor: Cylinder,
     upward: bool,
 }
 
-impl Default for Scan {
-    fn default() -> Scan {
+impl Scan {
+    fn new() -> Scan {
         Scan {
             bands: Default::default(),
-            put_back: Default::default(),
             seq: 0,
             cursor: 0,
             upward: true,
         }
-    }
-}
-
-impl Scan {
-    pub fn new() -> Scan {
-        Scan::default()
     }
 
     /// Next cylinder to service in `band` under the sweep, reversing at
@@ -394,27 +196,16 @@ impl Scan {
             }
         }
     }
-}
 
-impl DiskScheduler for Scan {
     fn push(&mut self, band: Band, token: u32, cylinder: Cylinder) {
         let seq = self.seq;
         self.seq += 1;
         self.bands[band.index()].insert((cylinder, seq), token);
     }
 
-    fn put_back(&mut self, band: Band, token: u32, cylinder: Cylinder) {
-        self.put_back[band.index()].push_front((band, token, cylinder));
-    }
-
-    fn pop(&mut self, _arm: Cylinder) -> Option<(Band, u32)> {
+    fn pop(&mut self) -> Option<(Band, u32)> {
         for band in Band::ALL {
             let i = band.index();
-            // Put-backs are served without moving the sweep cursor: the
-            // op already had its turn and is merely resuming it.
-            if let Some((b, token, _)) = self.put_back[i].pop_front() {
-                return Some((b, token));
-            }
             let Some(cyl) = self.sweep_target(i) else {
                 continue;
             };
@@ -430,11 +221,9 @@ impl DiskScheduler for Scan {
     // Unlike `pop`, draining leaves `cursor`/`upward` alone: aborted ops
     // were never serviced, so the arm never swept over them.
     fn drain(&mut self) -> Vec<(Band, u32)> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
         for band in Band::ALL {
-            let i = band.index();
-            out.extend(self.put_back[i].drain(..).map(|(b, token, _)| (b, token)));
-            let mut entries: Vec<(u64, u32)> = std::mem::take(&mut self.bands[i])
+            let mut entries: Vec<(u64, u32)> = std::mem::take(&mut self.bands[band.index()])
                 .into_iter()
                 .map(|((_cyl, seq), token)| (seq, token))
                 .collect();
@@ -443,81 +232,90 @@ impl DiskScheduler for Scan {
         }
         out
     }
-
-    fn len(&self) -> usize {
-        Band::ALL.iter().map(|&b| self.band_len(b)).sum()
-    }
-
-    fn foreground_len(&self) -> usize {
-        self.band_len(Band::Priority) + self.band_len(Band::Normal)
-    }
-
-    fn band_len(&self, band: Band) -> usize {
-        self.bands[band.index()].len() + self.put_back[band.index()].len()
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Static dispatch wrapper
+// The per-drive queue
 // ---------------------------------------------------------------------------
 
-/// A [`DiskScheduler`] chosen at configuration time. Enum dispatch keeps
-/// the per-op hot path monomorphic (no vtable) while letting the
-/// simulator hold a uniform `Vec<SchedulerQueue>`.
+/// One drive's queue of operation tokens under the discipline chosen at
+/// configuration time. Enum dispatch keeps the per-op hot path monomorphic
+/// (no vtable) while letting the simulator hold a uniform
+/// `Vec<SchedulerQueue>`.
 #[derive(Clone, Debug)]
-pub enum SchedulerQueue {
-    Fcfs(Fcfs),
+pub struct SchedulerQueue(Queue);
+
+#[derive(Clone, Debug)]
+enum Queue {
+    /// The paper's discipline: the three-band FIFO, cylinders ignored.
+    Fcfs(OpQueue<u32>),
     Sstf(Sstf),
     Scan(Scan),
 }
 
 impl SchedulerQueue {
     pub fn new(discipline: Discipline) -> SchedulerQueue {
-        match discipline {
-            Discipline::Fcfs => SchedulerQueue::Fcfs(Fcfs::new()),
-            Discipline::Sstf => SchedulerQueue::Sstf(Sstf::new()),
-            Discipline::Scan => SchedulerQueue::Scan(Scan::new()),
+        SchedulerQueue(match discipline {
+            Discipline::Fcfs => Queue::Fcfs(OpQueue::new()),
+            Discipline::Sstf => Queue::Sstf(Sstf::default()),
+            Discipline::Scan => Queue::Scan(Scan::new()),
+        })
+    }
+
+    /// Enqueue an operation targeting `cylinder`.
+    pub fn push(&mut self, band: Band, token: u32, cylinder: Cylinder) {
+        match &mut self.0 {
+            Queue::Fcfs(q) => q.push(band, token),
+            Queue::Sstf(q) => q.push(band, token, cylinder),
+            Queue::Scan(q) => q.push(band, token, cylinder),
         }
     }
-}
 
-macro_rules! delegate {
-    ($self:ident, $q:ident => $e:expr) => {
-        match $self {
-            SchedulerQueue::Fcfs($q) => $e,
-            SchedulerQueue::Sstf($q) => $e,
-            SchedulerQueue::Scan($q) => $e,
+    /// Remove and return the next operation to service given the arm's
+    /// current position. `None` iff empty.
+    pub fn pop(&mut self, arm: Cylinder) -> Option<(Band, u32)> {
+        match &mut self.0 {
+            Queue::Fcfs(q) => q.pop(),
+            Queue::Sstf(q) => q.pop(arm),
+            Queue::Scan(q) => q.pop(),
         }
-    };
-}
-
-impl DiskScheduler for SchedulerQueue {
-    fn push(&mut self, band: Band, token: u32, cylinder: Cylinder) {
-        delegate!(self, q => q.push(band, token, cylinder))
     }
 
-    fn put_back(&mut self, band: Band, token: u32, cylinder: Cylinder) {
-        delegate!(self, q => q.put_back(band, token, cylinder))
+    /// Remove every queued operation at once (the abort path: the ops will
+    /// never be serviced). Canonical order, identical across disciplines:
+    /// bands in priority order, each in enqueue order. Leaves position
+    /// state untouched (contract clause 3) — the aborted ops never moved
+    /// the arm. FCFS holds no position state, so its pop order *is* the
+    /// canonical order.
+    pub fn drain(&mut self) -> Vec<(Band, u32)> {
+        match &mut self.0 {
+            Queue::Fcfs(q) => std::iter::from_fn(|| q.pop()).collect(),
+            Queue::Sstf(q) => q.drain(),
+            Queue::Scan(q) => q.drain(),
+        }
     }
 
-    fn pop(&mut self, arm: Cylinder) -> Option<(Band, u32)> {
-        delegate!(self, q => q.pop(arm))
+    /// Queued operations in one band (per-band depth statistics).
+    pub fn band_len(&self, band: Band) -> usize {
+        match &self.0 {
+            Queue::Fcfs(q) => q.band_len(band),
+            Queue::Sstf(q) => q.bands[band.index()].len(),
+            Queue::Scan(q) => q.bands[band.index()].len(),
+        }
     }
 
-    fn drain(&mut self) -> Vec<(Band, u32)> {
-        delegate!(self, q => q.drain())
+    pub fn len(&self) -> usize {
+        Band::ALL.into_iter().map(|b| self.band_len(b)).sum()
     }
 
-    fn len(&self) -> usize {
-        delegate!(self, q => q.len())
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn foreground_len(&self) -> usize {
-        delegate!(self, q => q.foreground_len())
-    }
-
-    fn band_len(&self, band: Band) -> usize {
-        delegate!(self, q => q.band_len(band))
+    /// Queued priority + normal operations (admission/replica decisions
+    /// count only foreground work, as background ops always yield).
+    pub fn foreground_len(&self) -> usize {
+        self.band_len(Band::Priority) + self.band_len(Band::Normal)
     }
 }
 
@@ -581,12 +379,12 @@ mod tests {
         for arm in [0u32, 600, 1259, 42, 7] {
             assert_eq!(s.pop(arm), q.pop());
         }
-        assert!(s.is_empty() && q.is_empty());
+        assert!(s.is_empty() && q.pop().is_none());
     }
 
     #[test]
     fn sstf_picks_nearest_cylinder_ties_by_enqueue_order() {
-        let mut s = Sstf::new();
+        let mut s = Sstf::default();
         s.push(Band::Normal, 1, 100);
         s.push(Band::Normal, 2, 510);
         s.push(Band::Normal, 3, 490); // same distance from 500 as token 2
@@ -602,13 +400,13 @@ mod tests {
             s.push(Band::Normal, t, c);
         }
         // Cursor starts at 0 going up: 50, 100, then 200; an op behind the
-        // cursor waits for the downward sweep.
-        assert_eq!(s.pop(0), Some((Band::Normal, 2)));
-        assert_eq!(s.pop(50), Some((Band::Normal, 1)));
+        // cursor waits for the downward sweep. SCAN never reads the arm.
+        assert_eq!(s.pop(), Some((Band::Normal, 2)));
+        assert_eq!(s.pop(), Some((Band::Normal, 1)));
         s.push(Band::Normal, 4, 10);
-        assert_eq!(s.pop(100), Some((Band::Normal, 3)));
-        assert_eq!(s.pop(200), Some((Band::Normal, 4)), "sweep reversed");
-        assert!(s.is_empty());
+        assert_eq!(s.pop(), Some((Band::Normal, 3)));
+        assert_eq!(s.pop(), Some((Band::Normal, 4)), "sweep reversed");
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
@@ -616,58 +414,18 @@ mod tests {
         let mut s = Scan::new();
         s.push(Band::Normal, 1, 300);
         s.push(Band::Normal, 2, 300);
-        assert_eq!(s.pop(0), Some((Band::Normal, 1)));
-        assert_eq!(s.pop(300), Some((Band::Normal, 2)));
+        assert_eq!(s.pop(), Some((Band::Normal, 1)));
+        assert_eq!(s.pop(), Some((Band::Normal, 2)));
         // Force a downward sweep over a doubly-occupied cylinder.
         s.push(Band::Normal, 3, 400);
-        assert_eq!(s.pop(300), Some((Band::Normal, 3)));
+        assert_eq!(s.pop(), Some((Band::Normal, 3)));
         s.push(Band::Normal, 4, 100);
         s.push(Band::Normal, 5, 100);
-        assert_eq!(s.pop(400), Some((Band::Normal, 4)), "FIFO going down too");
-        assert_eq!(s.pop(100), Some((Band::Normal, 5)));
+        assert_eq!(s.pop(), Some((Band::Normal, 4)), "FIFO going down too");
+        assert_eq!(s.pop(), Some((Band::Normal, 5)));
     }
 
-    /// Contract clause 2: a put-back is re-served before discipline-chosen
-    /// work of its band, but a later Priority push still overtakes it —
-    /// for every discipline (the documented RF/PR interleaving).
-    #[test]
-    fn put_back_order_under_buffer_wait() {
-        for mut s in schedulers() {
-            s.push(Band::Normal, 1, 800); // popped first by FCFS/SSTF(arm 799)
-            s.push(Band::Normal, 2, 10); // popped first by SCAN (cursor at 0)
-            let (band, tok) = s.pop(799).unwrap();
-            assert_eq!(band, Band::Normal);
-            let cyl = if tok == 1 { 800 } else { 10 };
-            s.put_back(band, tok, cyl);
-            // A Priority op arriving after the put-back is served first.
-            s.push(Band::Priority, 9, 0);
-            assert_eq!(s.pop(799), Some((Band::Priority, 9)));
-            // Then the put-back, ahead of discipline-chosen work — even
-            // when the other queued op is better positioned for the arm.
-            assert_eq!(s.pop(0), Some((Band::Normal, tok)));
-            assert_eq!(s.pop(0), Some((Band::Normal, 3 - tok)));
-            assert!(s.is_empty());
-        }
-    }
-
-    /// Contract clause 2, nesting: multiple outstanding put-backs
-    /// re-serve most-recently-put-back first (LIFO), exactly like
-    /// repeated `OpQueue::push_front`.
-    #[test]
-    fn multiple_put_backs_reserve_lifo() {
-        for mut s in schedulers() {
-            s.push(Band::Normal, 1, 100);
-            s.push(Band::Normal, 2, 100);
-            let a = s.pop(100).unwrap();
-            let b = s.pop(100).unwrap();
-            s.put_back(a.0, a.1, 100);
-            s.put_back(b.0, b.1, 100);
-            assert_eq!(s.pop(100), Some(b), "most recent put-back resumes first");
-            assert_eq!(s.pop(100), Some(a));
-        }
-    }
-
-    /// Contract clause 4 regression: draining on abort must not drive the
+    /// Contract clause 3 regression: draining on abort must not drive the
     /// sweep machinery. Two identical SCAN queues mid-sweep are emptied
     /// for a disk failure — one via `drain`, one via the legacy pop loop —
     /// then receive identical fresh work: the drained queue resumes the
@@ -681,8 +439,8 @@ mod tests {
         for s in [&mut fixed, &mut legacy] {
             s.push(Band::Normal, 1, 10);
             s.push(Band::Normal, 2, 50);
-            assert_eq!(s.pop(0), Some((Band::Normal, 1)));
-            assert_eq!(s.pop(10), Some((Band::Normal, 2)));
+            assert_eq!(s.pop(), Some((Band::Normal, 1)));
+            assert_eq!(s.pop(), Some((Band::Normal, 2)));
             // The sweep is now at cylinder 50, heading up.
             s.push(Band::Normal, 3, 40);
             s.push(Band::Normal, 4, 60);
@@ -695,7 +453,7 @@ mod tests {
             "canonical drain aborts in enqueue order"
         );
         let mut popped = Vec::new();
-        while let Some(x) = legacy.pop(legacy.cursor) {
+        while let Some(x) = legacy.pop() {
             popped.push(x);
         }
         // Same ops aborted either way — but the pop loop "serviced" them:
@@ -711,20 +469,20 @@ mod tests {
             s.push(Band::Normal, 6, 55);
         }
         assert_eq!(
-            fixed.pop(50),
+            fixed.pop(),
             Some((Band::Normal, 6)),
             "upward sweep resumes past cylinder 50"
         );
         assert_eq!(
-            legacy.pop(50),
+            legacy.pop(),
             Some((Band::Normal, 5)),
             "phantom sweep state picks the wrong op"
         );
     }
 
-    /// `drain` returns put-backs first within each band, then entries in
-    /// enqueue order, Priority → Normal → Background — identically for
-    /// every discipline — and leaves the scheduler empty.
+    /// `drain` returns entries in enqueue order, Priority → Normal →
+    /// Background — identically for every discipline, whatever was popped
+    /// before — and leaves the queue empty.
     #[test]
     fn drain_is_canonical_exactly_once_for_every_discipline() {
         for mut s in schedulers() {
@@ -733,13 +491,15 @@ mod tests {
             s.push(Band::Priority, 10, 1200);
             s.push(Band::Normal, 21, 50);
             assert_eq!(s.pop(1200), Some((Band::Priority, 10)));
-            s.put_back(Band::Priority, 10, 1200);
+            s.push(Band::Priority, 11, 600);
+            s.push(Band::Normal, 22, 1000);
             assert_eq!(
                 s.drain(),
                 vec![
-                    (Band::Priority, 10),
+                    (Band::Priority, 11),
                     (Band::Normal, 20),
                     (Band::Normal, 21),
+                    (Band::Normal, 22),
                     (Band::Background, 30),
                 ]
             );
@@ -749,19 +509,21 @@ mod tests {
     }
 
     #[test]
-    fn len_accounting_spans_bands_and_putbacks() {
+    fn len_accounting_spans_bands() {
         for mut s in schedulers() {
+            assert!(s.is_empty());
             s.push(Band::Priority, 1, 0);
             s.push(Band::Normal, 2, 0);
             s.push(Band::Background, 3, 0);
             assert_eq!(s.len(), 3);
             assert_eq!(s.foreground_len(), 2);
-            assert_eq!(s.background_len(), 1);
             assert_eq!(s.band_len(Band::Priority), 1);
-            let (b, t) = s.pop(0).unwrap();
-            s.put_back(b, t, 0);
-            assert_eq!(s.len(), 3, "put-back still counts as queued");
-            assert_eq!(s.band_len(Band::Priority), 1);
+            assert_eq!(s.pop(0), Some((Band::Priority, 1)));
+            assert_eq!(s.len(), 2);
+            assert_eq!(s.foreground_len(), 1);
+            assert_eq!(s.band_len(Band::Priority), 0);
+            assert_eq!(s.band_len(Band::Background), 1);
+            assert!(!s.is_empty());
         }
     }
 
@@ -831,14 +593,7 @@ mod tests {
                 a.push(band, i as u32, 0);
                 b.push(band, i as u32, 0);
                 if pop_one {
-                    let got = a.pop(0);
-                    prop_assert_eq!(got, b.pop(0));
-                    if let Some((pb, pt)) = got {
-                        if i % 3 == 0 {
-                            a.put_back(pb, pt, 0);
-                            b.put_back(pb, pt, 0);
-                        }
-                    }
+                    prop_assert_eq!(a.pop(0), b.pop(0));
                 }
             }
             let drained = a.drain();
@@ -850,7 +605,7 @@ mod tests {
         }
 
         /// FCFS through the scheduler seam is indistinguishable from the
-        /// raw OpQueue, including put-backs, whatever the arm does.
+        /// raw OpQueue, whatever the arm does and whatever the cylinders.
         #[test]
         fn fcfs_differential_vs_opqueue(
             ops in proptest::collection::vec((0u8..3, 0u32..1260, any::<bool>()), 1..60),
@@ -864,16 +619,7 @@ mod tests {
                 s.push(band, i as u32, cyl);
                 q.push(band, i as u32);
                 if do_pop {
-                    let got = s.pop(*arm.next().unwrap());
-                    let want = q.pop();
-                    prop_assert_eq!(got, want);
-                    // Occasionally put the op back on both sides.
-                    if let Some((pb, pt)) = got {
-                        if i % 3 == 0 {
-                            s.put_back(pb, pt, cyl);
-                            q.push_front(pb, pt);
-                        }
-                    }
+                    prop_assert_eq!(s.pop(*arm.next().unwrap()), q.pop());
                 }
             }
             loop {

@@ -39,13 +39,24 @@ pub enum Organization {
 }
 
 impl Organization {
-    /// Physical disks per array for `n` logical data disks per array.
+    /// Physical disks of `arrays` arrays of `n` logical data disks each,
+    /// plus `spares` spare drives; `None` past `u32::MAX`. The disk counts
+    /// of `SimConfig` and `FleetConfig` go through this one checked sum,
+    /// and their `validate`s and the simulator's constructor refuse what it
+    /// cannot count.
+    pub(crate) fn checked_disks(&self, n: u32, arrays: u32, spares: u32) -> Option<u32> {
+        let per_array = match self {
+            Organization::Base => Some(n),
+            Organization::Mirror => n.checked_mul(2),
+            _ => n.checked_add(1),
+        };
+        per_array?.checked_mul(arrays)?.checked_add(spares)
+    }
+
+    /// Physical disks per array for `n` logical data disks per array
+    /// (`u32::MAX` past that, which `SimConfig::validate` refuses).
     pub fn disks_per_array(&self, n: u32) -> u32 {
-        match self {
-            Organization::Base => n,
-            Organization::Mirror => 2 * n,
-            _ => n + 1,
-        }
+        self.checked_disks(n, 1, 0).unwrap_or(u32::MAX)
     }
 
     /// Whether this organization maintains parity.
@@ -383,15 +394,30 @@ impl SimConfig {
 
     /// Total physical disks used for `n_logical` logical data disks —
     /// reproduces the paper's accounting (Trace 1, N = 5: 156 disks; N = 10:
-    /// 143 disks).
+    /// 143 disks). `u32::MAX` past that, which the simulator refuses.
     pub fn total_disks(&self, n_logical: u32) -> u32 {
-        self.arrays_for(n_logical) * self.organization.disks_per_array(self.data_disks_per_array)
+        let arrays = self.arrays_for(n_logical);
+        self.organization
+            .checked_disks(self.data_disks_per_array, arrays, 0)
+            .unwrap_or(u32::MAX)
     }
 
     pub fn validate(&self) -> Result<(), String> {
         self.geometry.validate()?;
         if self.data_disks_per_array == 0 {
             return Err("data_disks_per_array must be ≥ 1".into());
+        }
+        if self
+            .organization
+            .checked_disks(self.data_disks_per_array, 1, 0)
+            .is_none()
+        {
+            return Err(format!(
+                "data_disks_per_array = {}: a {} array would need more than {} disks",
+                self.data_disks_per_array,
+                self.organization.label(),
+                u32::MAX
+            ));
         }
         match self.organization {
             Organization::Raid5 { striping_unit } | Organization::Raid4 { striping_unit } => {
@@ -524,6 +550,36 @@ mod tests {
         // Mirror doubles.
         let cfg = SimConfig::with_organization(Organization::Mirror);
         assert_eq!(cfg.total_disks(130), 260);
+    }
+
+    /// The largest array of each organization whose disks still fit a
+    /// `u32` validates; one data disk more is refused with the field named.
+    #[test]
+    fn disk_counts_past_u32_are_refused() {
+        for (org, largest) in [
+            (Organization::Base, u32::MAX),
+            (Organization::Mirror, u32::MAX / 2),
+            (Organization::Raid5 { striping_unit: 1 }, u32::MAX - 1),
+        ] {
+            assert_eq!(
+                org.checked_disks(largest, 1, 0),
+                Some(org.disks_per_array(largest))
+            );
+            let mut cfg = SimConfig::with_organization(org);
+            cfg.data_disks_per_array = largest;
+            assert_eq!(cfg.validate(), Ok(()), "{}", org.label());
+            let Some(over) = largest.checked_add(1) else {
+                continue;
+            };
+            assert_eq!(org.checked_disks(over, 1, 0), None);
+            cfg.data_disks_per_array = over;
+            let e = cfg.validate().unwrap_err();
+            assert!(e.contains(&format!("data_disks_per_array = {over}")), "{e}");
+        }
+        let mirror = Organization::Mirror;
+        assert_eq!(mirror.checked_disks(2, 3, 4), Some(16));
+        assert_eq!(mirror.checked_disks(2, u32::MAX / 4 + 1, 0), None);
+        assert_eq!(mirror.checked_disks(2, 1, u32::MAX - 3), None);
     }
 
     #[test]

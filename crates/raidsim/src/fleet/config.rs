@@ -74,15 +74,14 @@ impl FleetConfig {
     }
 
     /// Physical drives a VA spec consumes: the organization's complement
-    /// plus its hot-spare reservation, if any.
-    pub fn physical_disks(va: &VirtualArraySpec) -> u32 {
-        let base = va.organization.disks_per_array(va.data_disks);
+    /// plus its hot-spare reservation, if any; `None` past `u32::MAX`.
+    pub fn physical_disks(va: &VirtualArraySpec) -> Option<u32> {
         let spares = va
             .fault
             .as_ref()
             .filter(|f| f.spare)
             .map_or(0, |f| f.spare_count);
-        base + spares
+        va.organization.checked_disks(va.data_disks, 1, spares)
     }
 
     /// Validate the spec, naming the offending field in every rejection.
@@ -132,6 +131,16 @@ impl FleetConfig {
                     va.name
                 ));
             }
+            if FleetConfig::physical_disks(va).is_none() {
+                return Err(format!(
+                    "virtual array {:?}: data_disks = {} plus fault.spare_count = {} \
+                     need more than {} drives",
+                    va.name,
+                    va.data_disks,
+                    va.fault.as_ref().map_or(0, |f| f.spare_count),
+                    u32::MAX
+                ));
+            }
             if va.cache_mb == Some(0) {
                 return Err(format!(
                     "virtual array {:?}: cache_mb must be ≥ 1 (or omitted)",
@@ -148,12 +157,20 @@ impl FleetConfig {
         // Physical commitment per class: the carved VAs (plus their spare
         // reservations) must fit the pool.
         for c in &self.classes {
-            let need: u32 = self
+            let need = self
                 .arrays
                 .iter()
                 .filter(|va| va.disk_class == c.name)
-                .map(FleetConfig::physical_disks)
-                .sum();
+                .try_fold(0u32, |sum, va| {
+                    sum.checked_add(FleetConfig::physical_disks(va)?)
+                });
+            let Some(need) = need else {
+                return Err(format!(
+                    "disk class {:?} overcommitted: virtual arrays need more than {} drives",
+                    c.name,
+                    u32::MAX
+                ));
+            };
             if need > c.count {
                 return Err(format!(
                     "disk class {:?} overcommitted: virtual arrays need {need} drives \
@@ -356,6 +373,46 @@ mod tests {
         f.arrays[0].organization = Organization::Raid5 { striping_unit: 0 };
         let e = f.validate().unwrap_err();
         assert!(e.contains("va00") && e.contains("striping"), "{e}");
+    }
+
+    /// Disk counts past `u32::MAX` are refused with the field named, not
+    /// wrapped: a Mirror VA of 2^31 data disks, and spares that overflow
+    /// the VA's drive count on their own or summed over the class.
+    #[test]
+    fn disk_counts_past_u32_are_rejected_by_field() {
+        let mirror = |f: &mut FleetConfig| {
+            f.arrays[1].organization = Organization::Mirror;
+            f.arrays[1].fault = Some(FaultConfig::default());
+        };
+        let mut f = FleetConfig::small();
+        mirror(&mut f);
+        f.arrays[1].data_disks = 1 << 31;
+        let e = f.validate().unwrap_err();
+        assert!(
+            e.contains("va01") && e.contains("data_disks = 2147483648"),
+            "{e}"
+        );
+
+        let mut f = FleetConfig::small();
+        mirror(&mut f);
+        f.arrays[1].fault.as_mut().unwrap().spare_count = u32::MAX;
+        let e = f.validate().unwrap_err();
+        assert!(e.contains("va01") && e.contains("fault.spare_count"), "{e}");
+
+        // Each VA fits, but the class total does not.
+        let mut f = FleetConfig::small();
+        f.classes[0].count = u32::MAX;
+        for va in f.arrays.iter_mut().filter(|va| va.disk_class == "t1") {
+            va.fault = Some(FaultConfig {
+                spare_count: u32::MAX / 2,
+                ..FaultConfig::default()
+            });
+        }
+        let e = f.validate().unwrap_err();
+        assert!(
+            e.contains("\"t1\" overcommitted") && e.contains("more than"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use super::planning::OrgPlanner;
 use super::{DestageJob, DiskOp, EnqueueRule, Ev, OpMarks, OpRole, ParityJob, Simulator, WriteOps};
 use crate::mapping::StripeMode;
-use diskmodel::{AccessKind, Band, DiskScheduler};
+use diskmodel::{AccessKind, Band};
 use nvcache::{BlockKey, DestageGroup, DirtyEviction};
 use simkit::SimTime;
 use tracegen::TraceRecord;

@@ -1,7 +1,7 @@
 //! Dispatch layer: per-drive queues and service.
 //!
-//! Owns the [`DiskScheduler`] seam: every drive has one
-//! [`SchedulerQueue`] running the configured [`Discipline`]. Enqueueing
+//! Owns the scheduling seam: every drive has one [`SchedulerQueue`]
+//! running the configured [`Discipline`]. Enqueueing
 //! records the op's target cylinder; popping passes the drive's current
 //! arm position so position-aware disciplines (SSTF, SCAN) can order
 //! service. FCFS — the paper's discipline and the default — ignores both

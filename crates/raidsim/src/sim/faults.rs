@@ -440,7 +440,7 @@ impl<'t> Simulator<'t> {
         // discipline's position machinery (SCAN cursor and sweep direction)
         // through ops that are never serviced, and the replacement spindle
         // would inherit that phantom sweep state (scheduler contract
-        // clause 4).
+        // clause 3).
         for (_, t) in self.queues[g].drain() {
             lost.push((t, false));
         }

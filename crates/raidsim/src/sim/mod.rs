@@ -16,9 +16,9 @@
 //!   logical addresses into per-disk operations (healthy and degraded),
 //!   backed by `mapping::OrgMap`. The only simulator code that knows which
 //!   organization is running.
-//! * **dispatch** ([`dispatch`]) — per-drive queues behind the
-//!   `diskmodel::DiskScheduler` seam (FCFS — the paper's discipline — by
-//!   default; SSTF and SCAN selectable), service start/completion, parity
+//! * **dispatch** ([`dispatch`]) — one `diskmodel::SchedulerQueue` per
+//!   drive (FCFS — the paper's discipline — by default; SSTF and SCAN
+//!   selectable), service start/completion, parity
 //!   synchronization (Section 3.3).
 //! * **faults** ([`faults`]) — failure injection, degraded operation,
 //!   online rebuild, battery failover.
@@ -55,9 +55,7 @@ use crate::report::{
     ClassReport, FaultReport, PhaseSample, PhaseWelfords, ReliabilityReport, SchedulerReport,
     SimReport,
 };
-use diskmodel::{
-    rmw_write_complete, AccessKind, Band, Discipline, Disk, DiskScheduler, SchedulerQueue,
-};
+use diskmodel::{rmw_write_complete, AccessKind, Band, Discipline, Disk, SchedulerQueue};
 use iochannel::{BufferPool, Channel, RetryPolicy};
 use nvcache::{BlockKey, NvCache, ParitySpool};
 use raidtp_stats::{DiskCounters, Histogram, TimeSeries, Welford};
@@ -559,7 +557,16 @@ impl<'t> Simulator<'t> {
         let arrays = cfg.arrays_for(trace.n_disks);
         let planner = Planner::new(cfg.organization, n, bpd)?;
         let dpa = planner.disks_per_array();
-        let total_disks = (arrays * dpa) as usize;
+        let total_disks = cfg
+            .organization
+            .checked_disks(n, arrays, 0)
+            .ok_or_else(|| {
+                format!(
+                    "{} logical disks in arrays of {n} need more than {} physical disks",
+                    trace.n_disks,
+                    u32::MAX
+                )
+            })? as usize;
 
         // Un-synchronized spindles: deterministic pseudo-random phases from
         // the seed (splitmix64 over the disk index). A matching warm pool

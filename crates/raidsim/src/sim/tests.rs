@@ -290,6 +290,18 @@ fn huge_cache_sizes_run_or_are_refused() {
     assert!(e.contains("NV cache keys at most"), "{e}");
 }
 
+/// A trace whose arrays would need more than `u32::MAX` physical disks
+/// (every logical disk its own mirrored pair) is refused before any
+/// per-disk state is built, instead of wrapping the count.
+#[test]
+fn physical_disk_counts_past_u32_are_refused() {
+    let mut cfg = SimConfig::with_organization(Organization::Mirror);
+    cfg.data_disks_per_array = 1;
+    let wide = Trace::new(u32::MAX, 1000);
+    let e = Simulator::try_new(cfg, &wide).err().expect("refused");
+    assert!(e.contains("more than 4294967295 physical disks"), "{e}");
+}
+
 #[test]
 fn raid4_reads_never_touch_the_parity_disk() {
     // A read-only workload against cached RAID4: disk 10 must stay idle.

@@ -5,8 +5,8 @@
 //! * [`SimTime`] — an integer-nanosecond simulation clock value. Integer time
 //!   makes runs bit-for-bit reproducible across platforms and optimization
 //!   levels, which floating-point clocks do not guarantee.
-//! * [`EventQueue`] — a future-event list (an indexed binary heap) with
-//!   stable FIFO ordering among simultaneous events and eager O(log n)
+//! * [`EventQueue`] — a future-event list (a binary heap of events) with
+//!   stable FIFO ordering among simultaneous events and eager
 //!   cancellation.
 //! * [`Engine`] — a thin clock + queue harness enforcing monotonic time.
 //! * [`FaultPlan`] — a seeded, time-ordered schedule of injected faults and

@@ -1,5 +1,5 @@
-//! Future-event list: an indexed binary min-heap keyed on ([`SimTime`],
-//! insertion sequence) with eager, O(log n) cancellation.
+//! Future-event list: a binary min-heap keyed on ([`SimTime`], insertion
+//! sequence).
 //!
 //! Ties are broken by insertion order so that two events scheduled for the
 //! same instant fire in the order they were scheduled. This determinism
@@ -12,77 +12,76 @@
 //! per busy disk, a destage tick per array, a few staged issues), because
 //! trace arrivals are merged in from the trace itself rather than
 //! scheduled. At that depth a binary heap is three to six levels: `push`
-//! and `pop` touch a handful of 24-byte nodes in one contiguous `Vec`, and
-//! the minimum sits at the root, so `peek_time` is a single load. The
+//! and `pop` touch a handful of nodes in one contiguous `Vec`, and the
+//! minimum sits at the root, so `peek_time` is a single load. The
 //! structure has no tuning knobs — nothing to size from the workload, and
 //! the same cost whether event times are dense or sparse.
 //!
-//! ## Slot table
+//! ## Cancellation
 //!
-//! Every scheduled event owns a slot in a `Vec`-backed table; its
-//! [`EventId`] is the (slot, generation) pair. The slot holds the event
-//! payload and the position of its node in the heap, which every sift
-//! keeps current, so cancellation removes the node on the spot — no
-//! tombstones, no lazy draining. Slots are recycled through a free list;
-//! the generation counter bumps on every reuse, so a stale id (fired or
-//! cancelled long ago) can never cancel the slot's new occupant. A slot
-//! whose generation reaches `u32::MAX` is retired instead of wrapping:
-//! wrapping would reissue generation 0 and let an ancient id alias the
-//! slot's new occupant.
+//! An [`EventId`] is the event's insertion sequence number, which is never
+//! reissued, so an id kept past its event's firing or cancellation can
+//! never name another event. `cancel` scans the heap for the node and
+//! removes it on the spot — no tombstones, no lazy draining. The scan is
+//! linear in the pending set, which is small, and the simulator cancels
+//! only when a disk fails (its in-service completion).
 
 use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Opaque handle to a scheduled event, usable for cancellation.
-///
-/// Internally a (slot, generation) pair into the queue's slot table;
-/// generations make ids single-use, so an id kept past its event's firing
-/// or cancellation is harmlessly rejected even after the slot is reused.
+/// Opaque handle to a scheduled event, usable for cancellation: the
+/// event's insertion sequence number. Sequence numbers are never reissued,
+/// so a stale id (fired or cancelled) is harmlessly rejected.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
+pub struct EventId(u64);
 
-/// One heap node: the ordering key and the slot that owns the payload.
-#[derive(Clone, Copy)]
-struct Node {
+/// One heap node: the ordering key and the event it carries.
+struct Node<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    event: E,
 }
 
-impl Node {
+impl<E> Node<E> {
     #[inline]
-    fn before(&self, other: &Node) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
-/// Heap position of a slot with no pending event (free or retired).
-const NOT_QUEUED: u32 = u32::MAX;
-
-/// One slot of the table. `pos` is [`NOT_QUEUED`] from the event's pop or
-/// cancellation until the slot's next reuse; `gen` counts reuses.
-struct Slot<E> {
-    gen: u32,
-    pos: u32,
-    event: Option<E>,
+// `BinaryHeap` is a max-heap: nodes order by reversed key so the earliest
+// (time, seq) sits at the top. Keys are unique (`seq` is), so the order is
+// total and the payload never takes part.
+impl<E> Ord for Node<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
+
+impl<E> PartialOrd for Node<E> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Node<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Node<E> {}
 
 /// Priority queue of future events.
 ///
 /// `pop` returns events in nondecreasing time order; events with equal
 /// timestamps come out in scheduling order (the (time, seq) tie-break).
-/// `cancel` removes the event eagerly: the slot table records its heap
-/// position.
-///
-/// All bookkeeping lives in flat `Vec`s (heap + slot table + free list) —
-/// no ordered sets, no hashing — so the structure is cache-friendly and
-/// trivially deterministic.
+/// `cancel` removes the event eagerly.
 pub struct EventQueue<E> {
-    heap: Vec<Node>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Node<E>>,
     /// High-water mark of the heap length over the queue's lifetime.
     peak_live: usize,
     next_seq: u64,
@@ -99,154 +98,42 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Pre-size for `cap` simultaneously pending events (everything still
+    /// Pre-size for `cap` simultaneously pending events (the heap still
     /// grows on demand past that).
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
+            heap: BinaryHeap::with_capacity(cap),
             peak_live: 0,
             next_seq: 0,
         }
     }
 
-    /// Place `node` at heap index `i` and record the position in its slot.
-    #[inline]
-    fn put(&mut self, i: usize, node: Node) {
-        self.slots[node.slot as usize].pos = i as u32;
-        self.heap[i] = node;
-    }
-
-    /// Move `node`, destined for hole `i`, up past every later parent.
-    fn sift_up(&mut self, mut i: usize, node: Node) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !node.before(&self.heap[parent]) {
-                break;
-            }
-            let p = self.heap[parent];
-            self.put(i, p);
-            i = parent;
-        }
-        self.put(i, node);
-    }
-
-    /// Move `node`, destined for hole `i`, down past every earlier child.
-    fn sift_down(&mut self, mut i: usize, node: Node) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.heap[right].before(&self.heap[left]) {
-                right
-            } else {
-                left
-            };
-            if !self.heap[child].before(&node) {
-                break;
-            }
-            let c = self.heap[child];
-            self.put(i, c);
-            i = child;
-        }
-        self.put(i, node);
-    }
-
-    /// Remove the node at heap index `i`, refilling the hole with the last
-    /// node; returns the removed node's slot.
-    fn remove_at(&mut self, i: usize) -> u32 {
-        let slot = self.heap[i].slot;
-        #[expect(clippy::expect_used, reason = "callers pass an index inside the heap")]
-        let last = self.heap.pop().expect("remove from an empty heap");
-        if i < self.heap.len() {
-            if i > 0 && last.before(&self.heap[(i - 1) / 2]) {
-                self.sift_up(i, last);
-            } else {
-                self.sift_down(i, last);
-            }
-        }
-        slot
-    }
-
-    fn alloc_slot(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: NOT_QUEUED,
-                    event: None,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Take `slot`'s event and retire the slot back to the free list,
-    /// invalidating outstanding ids. A slot that has exhausted its
-    /// generation space is retired for good: wrapping to generation 0 would
-    /// let an ancient id alias the slot's next occupant.
-    #[inline]
-    fn release_slot(&mut self, slot: u32) -> E {
-        let s = &mut self.slots[slot as usize];
-        s.pos = NOT_QUEUED;
-        #[expect(clippy::expect_used, reason = "a queued slot always holds its event")]
-        let event = s.event.take().expect("queued slot without an event");
-        if s.gen != u32::MAX {
-            s.gen += 1;
-            self.free.push(slot);
-        }
-        event
-    }
-
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        let slot = self.alloc_slot();
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.slots[slot as usize].event = Some(event);
-        let i = self.heap.len();
-        let node = Node { at, seq, slot };
-        self.heap.push(node);
-        self.sift_up(i, node);
+        self.heap.push(Node { at, seq, event });
         self.peak_live = self.peak_live.max(self.heap.len());
-        EventId {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
+        EventId(seq)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. not yet popped or already cancelled). A stale id
-    /// — fired, already cancelled, or from a recycled slot — is rejected by
-    /// the generation check and never touches the slot's current occupant.
+    /// still pending (i.e. not yet popped or already cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slots.get(id.slot as usize) else {
-            return false;
-        };
-        if slot.gen != id.gen || slot.pos == NOT_QUEUED {
-            return false;
-        }
-        let freed = self.remove_at(slot.pos as usize);
-        drop(self.release_slot(freed));
-        true
+        let before = self.heap.len();
+        self.heap.retain(|n| n.seq != id.0);
+        self.heap.len() < before
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let at = self.heap.first()?.at;
-        let slot = self.remove_at(0);
-        Some((at, self.release_slot(slot)))
+        self.heap.pop().map(|n| (n.at, n.event))
     }
 
     /// Timestamp of the earliest pending event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|n| n.at)
+        self.heap.peek().map(|n| n.at)
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -263,29 +150,13 @@ impl<E> EventQueue<E> {
         self.peak_live
     }
 
-    /// Test-only: pin a slot's generation counter, simulating the slot
-    /// having been recycled that many times.
-    #[cfg(test)]
-    fn force_slot_gen(&mut self, slot: u32, gen: u32) {
-        self.slots[slot as usize].gen = gen;
-    }
-
-    /// Test-only: every node is no earlier than its parent, and every slot
-    /// records exactly where its node sits.
+    /// Test-only: every node is no earlier than its parent.
     #[cfg(test)]
     fn check_invariants(&self) {
-        for (i, n) in self.heap.iter().enumerate() {
-            if i > 0 {
-                assert!(!n.before(&self.heap[(i - 1) / 2]), "heap order at {i}");
-            }
-            assert_eq!(self.slots[n.slot as usize].pos as usize, i, "slot position");
-            assert!(
-                self.slots[n.slot as usize].event.is_some(),
-                "queued slot lost its event"
-            );
+        let nodes = self.heap.as_slice();
+        for (i, n) in nodes.iter().enumerate().skip(1) {
+            assert!(n.key() >= nodes[(i - 1) / 2].key(), "heap order at {i}");
         }
-        let queued = self.slots.iter().filter(|s| s.pos != NOT_QUEUED).count();
-        assert_eq!(queued, self.heap.len(), "slots marked queued");
     }
 }
 
@@ -334,7 +205,7 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId { slot: 42, gen: 0 }));
+        assert!(!q.cancel(EventId(42)));
     }
 
     /// Regression: cancelling an id that already fired used to insert a
@@ -369,14 +240,13 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A fired event's slot is recycled by the next schedule; the stale id
-    /// must not cancel (or even see) the slot's new occupant.
+    /// A fired event's stale id must not cancel (or even see) the event
+    /// scheduled after it.
     #[test]
     fn stale_id_does_not_cancel_slot_reuser() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_ms(1), "a");
         assert_eq!(q.pop(), Some((SimTime::from_ms(1), "a")));
-        // Slot is reused with a bumped generation.
         let b = q.schedule(SimTime::from_ms(2), "b");
         assert!(!q.cancel(a), "stale id must not cancel the new occupant");
         assert_eq!(q.len(), 1, "the new occupant is untouched");
@@ -384,14 +254,13 @@ mod tests {
         assert!(!q.cancel(b), "fired reuser's own id is stale too");
     }
 
-    /// Same, when the first occupant was cancelled rather than popped: the
-    /// cancelled id stays dead through the slot's next life.
+    /// Same, when the first event was cancelled rather than popped: the
+    /// cancelled id stays dead after later schedules.
     #[test]
     fn cancelled_id_stays_dead_after_slot_reuse() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_ms(1), "a");
         assert!(q.cancel(a));
-        // Cancellation removes the entry eagerly, so the slot is free.
         let b = q.schedule(SimTime::from_ms(3), "b");
         assert!(!q.cancel(a), "cancelled id is single-use");
         assert_eq!(q.len(), 1);
@@ -400,38 +269,15 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Ids from consecutive lives of one slot are distinct values.
+    /// Ids of consecutive schedules are distinct values, even when the
+    /// first event has already fired.
     #[test]
     fn recycled_slot_yields_distinct_ids() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_ms(1), 0);
         q.pop();
         let b = q.schedule(SimTime::from_ms(1), 1);
-        assert_ne!(a, b, "generation must differ on slot reuse");
-    }
-
-    /// Regression (generation wraparound): a slot whose generation counter
-    /// has exhausted `u32` must be retired, not wrapped. Pre-fix, releasing
-    /// a generation-`u32::MAX` occupant wrapped the counter to 0 and the
-    /// next schedule on that slot aliased the oldest possible id — an
-    /// ancient, long-dead `EventId` could then cancel a brand-new event.
-    #[test]
-    fn generation_wraparound_retires_slot_instead_of_aliasing() {
-        let mut q = EventQueue::new();
-        let ancient = q.schedule(SimTime::from_ms(1), "a"); // slot 0, gen 0
-        assert_eq!(q.pop(), Some((SimTime::from_ms(1), "a")));
-        // Simulate the slot having lived through the whole generation space.
-        q.force_slot_gen(0, u32::MAX);
-        let b = q.schedule(SimTime::from_ms(2), "b"); // slot 0, gen u32::MAX
-        assert!(q.cancel(b)); // releases the slot at the end of its gen space
-        let _c = q.schedule(SimTime::from_ms(3), "c");
-        assert!(
-            !q.cancel(ancient),
-            "an id from a wrapped-around slot must never cancel the new occupant"
-        );
-        assert_eq!(q.len(), 1, "the new event must survive the stale cancel");
-        assert_eq!(q.pop(), Some((SimTime::from_ms(3), "c")));
-        assert_eq!(q.pop(), None);
+        assert_ne!(a, b, "ids are never reissued");
     }
 
     #[test]
@@ -567,25 +413,6 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// A slot retired at the end of its generation space is never handed
-    /// out again: later schedules take fresh slots, and the retired slot's
-    /// last id stays inert.
-    #[test]
-    fn retired_slot_is_never_reissued() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ms(1), 0u32); // slot 0
-        q.pop();
-        q.force_slot_gen(0, u32::MAX);
-        let last = q.schedule(SimTime::from_ms(2), 1); // slot 0, final generation
-        assert_eq!(q.pop(), Some((SimTime::from_ms(2), 1)));
-        for i in 0..8 {
-            let id = q.schedule(SimTime::from_ms(3 + i), 2 + i as u32);
-            assert_ne!(id.slot, 0, "retired slot reissued");
-        }
-        assert!(!q.cancel(last));
-        assert_eq!(q.len(), 8);
-    }
-
     /// Naive reference model: the observable behavior the heap queue must
     /// reproduce exactly. Linear scans everywhere — unambiguously
     /// correct, hopelessly slow.
@@ -653,7 +480,7 @@ mod tests {
     enum Op {
         Schedule(u64),
         /// Cancel the id issued by the i-th Schedule so far (mod count);
-        /// may be live, fired, cancelled, or from a since-recycled slot.
+        /// may be live, fired or cancelled.
         Cancel(usize),
         Pop,
         Peek,
@@ -754,7 +581,7 @@ mod tests {
 
         /// Differential property: drive the heap queue and the naive
         /// reference model through a random interleaving of schedule /
-        /// cancel / pop / peek — including cancels of stale and recycled
+        /// cancel / pop / peek — including cancels of fired and cancelled
         /// ids — and require identical observable behavior at every step.
         #[test]
         fn prop_differential_against_model(

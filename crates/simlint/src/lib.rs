@@ -5,9 +5,10 @@
 //! trace and seed must yield the same figures. rustc and clippy carry most
 //! of that policy (`[workspace.lints]` and `clippy.toml`: no hash
 //! collections, no ambient nondeterminism, no library panics, no threads
-//! or synchronization outside the sweep pool, a private `FaultRng::new`, a
-//! sealed `DiskScheduler`). This tool checks the five invariants they
-//! cannot express, over every `.rs` file in the sim-core crates:
+//! or synchronization outside the sweep pool, a private `FaultRng::new`,
+//! private disk-scheduling disciplines). This tool checks the five
+//! invariants they cannot express, over every `.rs` file in the sim-core
+//! crates:
 //!
 //! 1. **`raw-time-cast`** — no `as`-casts on identifiers that name times
 //!    or durations (`*_ns`, `*_ms`, `*_us`, `*time*`, `tick`, `now`,

@@ -76,14 +76,6 @@ impl DiskCounters {
             self.max() as f64 / mean
         }
     }
-
-    /// Merge counters from another run segment (same disk count).
-    pub fn merge(&mut self, other: &DiskCounters) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,16 +114,5 @@ mod tests {
         assert_eq!(c.mean(), 0.0);
         assert_eq!(c.coefficient_of_variation(), 0.0);
         assert_eq!(c.peak_to_mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_elementwise() {
-        let mut a = DiskCounters::new(2);
-        a.add(0, 5);
-        let mut b = DiskCounters::new(2);
-        b.add(0, 3);
-        b.add(1, 7);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[8, 7]);
     }
 }

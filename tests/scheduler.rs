@@ -130,7 +130,7 @@ fn fault_scenario(discipline: Discipline, duration_secs: f64) -> (Trace, SimConf
 
 /// The fault path (mid-run failure, abort/replan, rebuild) went through
 /// the same seam swap; its baseline hash must hold too. This hash also
-/// pins the abort *drain* order: `DiskScheduler::drain` aborts FCFS
+/// pins the abort *drain* order: `SchedulerQueue::drain` aborts FCFS
 /// queues byte-identically to the pop loop it replaced.
 ///
 /// Re-pinned when the failure-lifecycle work extended `FaultReport` and
@@ -149,7 +149,7 @@ fn fcfs_fault_injection_hash_matches_pre_refactor_baseline() {
     );
 }
 
-/// Abort-drain regression (scheduler contract clause 4): a disk failing
+/// Abort-drain regression (scheduler contract clause 3): a disk failing
 /// while SSTF/SCAN hold arm-position state must neither lose nor
 /// duplicate the aborted in-flight ops — every traced request still
 /// completes exactly once through the re-plan path — and the run stays a
@@ -180,6 +180,32 @@ fn fault_during_sstf_and_scan_completes_every_request_deterministically() {
         let b = serialized_report(cfg, &trace);
         assert_eq!(a, b, "{ctx}: fault-path replay diverged");
     }
+}
+
+/// Report hashes of the congested fault scenario (`duration_secs` 1.5),
+/// recorded before the event queue lost its slot table and the per-drive
+/// scheduler its trait: the failure lands while ops are queued, so these
+/// pin the drain order, the in-service cancel and the re-plan of every
+/// aborted op under each discipline.
+const CONGESTED_FAULT_HASHES: [(Discipline, u64); 3] = [
+    (Discipline::Fcfs, 0x072a_0557_833d_0ebd),
+    (Discipline::Sstf, 0xbebd_5514_b7b9_1cba),
+    (Discipline::Scan, 0xcaa1_9810_7e6c_007d),
+];
+
+#[test]
+fn congested_fault_path_hashes_match_recorded_values() {
+    let got: Vec<(Discipline, u64)> = CONGESTED_FAULT_HASHES
+        .iter()
+        .map(|&(discipline, _)| {
+            let (trace, cfg) = fault_scenario(discipline, 1.5);
+            (discipline, fnv1a(serialized_report(cfg, &trace).as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        got, CONGESTED_FAULT_HASHES,
+        "congested fault-path reports moved"
+    );
 }
 
 /// SSTF and SCAN reorder within a band but must never lose or duplicate
